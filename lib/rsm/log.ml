@@ -23,6 +23,7 @@ type 'cmd t = {
   mutable floor : floor option;
   mutable decided_count : int;
   mutable instances_total : int;
+  mutable version : int;  (* bumped when [opened]/[decided]/[floor] change *)
 }
 
 let create ~engine ~backend ~seed ~live ?view () =
@@ -37,6 +38,7 @@ let create ~engine ~backend ~seed ~live ?view () =
     floor = None;
     decided_count = 0;
     instances_total = 0;
+    version = 0;
   }
 
 (* Partition-aware quorum view over an [Async_net]: with the network
@@ -108,9 +110,12 @@ let compute t slot_no s =
     duration = !duration;
   }
 
+let bump t = t.version <- t.version + 1
+
 let publish t slot_no s d =
   let module B = (val t.backend : Backend.S) in
   s.decision <- Some d;
+  bump t;
   t.decided_count <- t.decided_count + 1;
   t.instances_total <- t.instances_total + d.instances;
   Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
@@ -126,6 +131,7 @@ let propose t ~slot ~pid ~batch =
     | None ->
         let s = { opener = pid; proposals = []; decision = None } in
         Hashtbl.replace t.slots slot s;
+        bump t;
         ignore
           (Dsim.Engine.spawn t.engine
              ~name:(Printf.sprintf "rsm-slot-%d" slot)
@@ -162,6 +168,7 @@ let opener t ~slot =
 let decided t ~slot =
   match Hashtbl.find_opt t.slots slot with Some s -> s.decision | None -> None
 
+let version t = t.version
 let decided_count t = t.decided_count
 let instances_total t = t.instances_total
 
@@ -170,7 +177,8 @@ let instances_total t = t.instances_total
    an honest recovery must start from the disks alone. *)
 let forget_volatile t =
   Hashtbl.reset t.slots;
-  t.floor <- None
+  t.floor <- None;
+  bump t
 
 let reseed t ~slot ~winner ~batch =
   if not (Hashtbl.mem t.slots slot) then begin
@@ -180,6 +188,7 @@ let reseed t ~slot ~winner ~batch =
         proposals = [ (winner, batch) ];
         decision = Some { winner; batch; instances = 0; duration = 0 };
       };
+    bump t;
     Dsim.Engine.emitk t.engine ~tag:"rsm" (fun () ->
         Printf.sprintf "slot %d reseeded from replica %d's WAL (%d cmds)" slot
           winner (List.length batch))
@@ -188,6 +197,8 @@ let reseed t ~slot ~winner ~batch =
 let set_floor t ~owner ~upto ~state ~cids =
   match t.floor with
   | Some f when f.upto >= upto -> ()
-  | _ -> t.floor <- Some { owner; upto; state; cids }
+  | _ ->
+      t.floor <- Some { owner; upto; state; cids };
+      bump t
 
 let floor t = t.floor

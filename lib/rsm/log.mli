@@ -64,6 +64,14 @@ val propose : 'cmd t -> slot:int -> pid:int -> batch:'cmd list -> unit
 val opened : 'cmd t -> slot:int -> bool
 val opener : 'cmd t -> slot:int -> int option
 val decided : 'cmd t -> slot:int -> 'cmd slot_decision option
+
+val version : 'cmd t -> int
+(** A counter that grows whenever the answer of {!opened}, {!decided}
+    or {!floor} may change: a slot opens or is decided, a decision is
+    reseeded, the cache is forgotten, or a floor is installed.  An
+    [await] predicate that reads only these may skip re-evaluation
+    while it is unchanged. *)
+
 val decided_count : 'cmd t -> int
 
 val instances_total : 'cmd t -> int

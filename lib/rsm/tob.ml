@@ -1,7 +1,7 @@
 type 'cmd entry = { cid : int; op : 'cmd }
 
 type 'cmd replica = {
-  pending : (int, 'cmd entry) Hashtbl.t;  (* cid -> entry, not yet ordered *)
+  pending : 'cmd entry Pending.t;  (* cid -> entry, not yet ordered *)
   delivered : (int, unit) Hashtbl.t;
   mutable next_slot : int;
   mutable delivered_count : int;
@@ -26,16 +26,7 @@ type 'cmd t = {
 
 let receive t pid e =
   let r = t.replicas.(pid) in
-  if not (Hashtbl.mem r.delivered e.cid) then Hashtbl.replace r.pending e.cid e
-
-let take_batch t r =
-  let ids = Hashtbl.fold (fun cid _ acc -> cid :: acc) r.pending [] in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | cid :: rest -> Hashtbl.find r.pending cid :: take (k - 1) rest
-  in
-  take t.batch (List.sort compare ids)
+  if not (Hashtbl.mem r.delivered e.cid) then Pending.add r.pending e.cid e
 
 let floor_ready t (r : _ replica) =
   match Log.floor t.log with
@@ -51,12 +42,29 @@ let install_floor t pid (r : _ replica) (f : Log.floor) =
     (fun cid ->
       Hashtbl.replace r.delivered cid ();
       Hashtbl.replace t.delivered_any cid ();
-      Hashtbl.remove r.pending cid)
+      Pending.remove r.pending cid)
     f.Log.cids;
   r.delivered_count <- List.length f.Log.cids;
   r.next_slot <- f.Log.upto + 1;
   t.on_install ~pid ~owner:f.Log.owner ~upto:f.Log.upto ~state:f.Log.state
     ~cids:f.Log.cids
+
+(* Every input the replica's [await] predicates read — its pending set,
+   the log's slots and floor, [stopped] — bumps one of these monotone
+   counters when it changes ([next_slot] only moves while the replica
+   runs), so an unchanged sum means the predicate would answer [None]
+   again and it is not re-evaluated. *)
+let gated_await t r poll =
+  let seen = ref (-1) in
+  Dsim.Engine.await (fun () ->
+      let v =
+        Pending.version r.pending + Log.version t.log + Bool.to_int t.stopped
+      in
+      if v = !seen then None
+      else begin
+        seen := v;
+        poll ()
+      end)
 
 let replica_loop t pid _ctx =
   let r = t.replicas.(pid) in
@@ -67,10 +75,10 @@ let replica_loop t pid _ctx =
         loop ()
     | None -> (
         let verdict =
-          Dsim.Engine.await (fun () ->
+          gated_await t r (fun () ->
               if floor_ready t r <> None then Some `Go
               else if
-                Hashtbl.length r.pending > 0 || Log.opened t.log ~slot:r.next_slot
+                Pending.length r.pending > 0 || Log.opened t.log ~slot:r.next_slot
               then Some `Go
               else if t.stopped then Some `Exit
               else None)
@@ -80,15 +88,16 @@ let replica_loop t pid _ctx =
         | `Go when floor_ready t r <> None -> loop ()
         | `Go ->
             let slot = r.next_slot in
-            Log.propose t.log ~slot ~pid ~batch:(take_batch t r);
-            let d = Dsim.Engine.await (fun () -> Log.decided t.log ~slot) in
+            Log.propose t.log ~slot ~pid
+              ~batch:(Pending.take r.pending t.batch);
+            let d = gated_await t r (fun () -> Log.decided t.log ~slot) in
             let fresh =
               List.filter
                 (fun (e : _ entry) -> not (Hashtbl.mem r.delivered e.cid))
                 d.Log.batch
             in
             List.iter
-              (fun (e : _ entry) -> Hashtbl.remove r.pending e.cid)
+              (fun (e : _ entry) -> Pending.remove r.pending e.cid)
               d.Log.batch;
             List.iter
               (fun (e : _ entry) ->
@@ -120,7 +129,7 @@ let create ~engine ~net ~log ~batch ~deliver
       replicas =
         Array.init n (fun _ ->
             {
-              pending = Hashtbl.create 32;
+              pending = Pending.create ();
               delivered = Hashtbl.create 64;
               next_slot = 0;
               delivered_count = 0;
@@ -153,7 +162,7 @@ let process t pid = t.processes.(pid)
 (* Under the in-memory (recoverable) model a crash leaves replica state
    intact; under the durable model the Runner calls this to lose what a
    real crash loses at the TOB layer: the undelivered pending set. *)
-let crash t pid = Hashtbl.reset t.replicas.(pid).pending
+let crash t pid = Pending.clear t.replicas.(pid).pending
 
 let restart t ?recovery pid =
   if not (Dsim.Engine.alive t.engine t.processes.(pid)) then begin
@@ -162,7 +171,7 @@ let restart t ?recovery pid =
     | Some rc ->
         let r = t.replicas.(pid) in
         Hashtbl.reset r.delivered;
-        Hashtbl.reset r.pending;
+        Pending.clear r.pending;
         List.iter
           (fun cid ->
             Hashtbl.replace r.delivered cid ();
@@ -184,5 +193,5 @@ let delivered_cids t ~pid =
 
 let next_slot t ~pid = t.replicas.(pid).next_slot
 let is_delivered t ~cid = Hashtbl.mem t.delivered_any cid
-let pending_count t ~pid = Hashtbl.length t.replicas.(pid).pending
+let pending_count t ~pid = Pending.length t.replicas.(pid).pending
 let stop t = t.stopped <- true

@@ -13,6 +13,11 @@
     skipping commands they already delivered, so a command that rides in
     several proposals is still applied exactly once.
 
+    A proposal's batch is always the [batch] {e smallest} pending command
+    ids, in ascending order — not arrival order, so replicas holding the
+    same pending set propose the same batch.  {!Pending} keeps that
+    order incrementally.
+
     Command dissemination is a plain best-effort broadcast; the
     consensus object restores uniformity (a decided batch reaches every
     live replica through the log even when the original broadcast was

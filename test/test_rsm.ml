@@ -127,6 +127,251 @@ let duplicate_suppression () =
   check Alcotest.string "checker clean" ""
     (Fmt.str "%a" (Fmt.list Checker.pp_violation) (Checker.check checker))
 
+(* --- tob: batch choice --------------------------------------------------- *)
+
+(* A replica proposes the [batch] smallest pending cids, ascending — not
+   arrival order.  One replica, so every slot carries its proposal; batch
+   3 against eight cids submitted scrambled; after slot 0 two smaller
+   cids arrive and must jump ahead of the older pending ones.  The choice
+   is Tob's alone, so the slots are the same for every backend and seed. *)
+let batch_takes_smallest_cids backend seed =
+  let seed = Int64.of_int seed in
+  let eng = Dsim.Engine.create ~seed () in
+  let net = Netsim.Async_net.create eng ~n:1 ~retain_inbox:false () in
+  let log = Log.create ~engine:eng ~backend ~seed ~live:(fun () -> [ 0 ]) () in
+  let slots = Hashtbl.create 8 in
+  let deliver ~pid:_ ~slot (e : _ Tob.entry) =
+    let prev = Option.value ~default:[] (Hashtbl.find_opt slots slot) in
+    Hashtbl.replace slots slot (prev @ [ e.Tob.cid ])
+  in
+  let cell = ref None in
+  let tob () = Option.get !cell in
+  let submit cid =
+    ignore (Tob.submit (tob ()) ~replica:0 { Tob.cid; op = () } : bool)
+  in
+  let on_slot_applied ~pid:_ ~slot ~fresh:_ =
+    if slot = 0 then List.iter submit [ 5; 0 ];
+    if Tob.delivered_count (tob ()) ~pid:0 = 10 then Tob.stop (tob ())
+  in
+  cell :=
+    Some (Tob.create ~engine:eng ~net ~log ~batch:3 ~deliver ~on_slot_applied ());
+  Dsim.Engine.schedule eng ~delay:0 (fun () ->
+      List.iter submit [ 17; 3; 42; 8; 25; 1; 30; 12 ]);
+  let outcome = Dsim.Engine.run eng in
+  check Alcotest.bool "quiescent" true (outcome = Dsim.Engine.Quiescent);
+  let decided =
+    Hashtbl.fold (fun slot cids acc -> (slot, cids) :: acc) slots []
+    |> List.sort compare
+  in
+  check
+    Alcotest.(list (pair int (list int)))
+    (Printf.sprintf "%s, seed %Ld: each slot is the ascending prefix of the \
+                     smallest pending cids" (backend_name backend) seed)
+    [ (0, [ 1; 3; 8 ]); (1, [ 0; 5; 12 ]); (2, [ 17; 25; 30 ]); (3, [ 42 ]) ]
+    decided
+
+let batch_choice_golden () =
+  List.iter
+    (fun b -> List.iter (batch_takes_smallest_cids b) [ 1; 5; 7919 ])
+    Backend.all
+
+(* --- pending index: differential against fold+sort+take ---------------- *)
+
+(* The operations a replica's pending set sees, as [Rsm.Tob] issues
+   them: a command arrives; a batch is taken for a proposal; a decided
+   batch is removed; commands arrive and are ordered through another
+   replica's batch before this one takes them; a crash or a
+   [restart ~recovery] empties the set (after a restart, commands arrive
+   again); a state-transfer floor removes the cids it covers. *)
+type pending_op =
+  | Receive of int
+  | Take of int
+  | Decide of int
+  | Churn of int list
+  | Crash
+  | Restart of int list
+  | Floor of int list
+
+let pp_pending_op = function
+  | Receive c -> Printf.sprintf "receive %d" c
+  | Take k -> Printf.sprintf "take %d" k
+  | Decide k -> Printf.sprintf "decide %d" k
+  | Churn l ->
+      Printf.sprintf "churn [%s]" (String.concat ";" (List.map string_of_int l))
+  | Crash -> "crash"
+  | Restart l ->
+      Printf.sprintf "restart [%s]" (String.concat ";" (List.map string_of_int l))
+  | Floor l ->
+      Printf.sprintf "floor [%s]" (String.concat ";" (List.map string_of_int l))
+
+(* A small cid range, so removed cids are received again often — each
+   such re-receive leaves a stale or duplicate heap entry behind.  Churn
+   piles up stale entries above the taken prefix until the heap is
+   rebuilt from the table. *)
+let gen_pending_ops =
+  QCheck.Gen.(
+    let cid = int_range 0 40 in
+    let cids = list_size (int_range 0 10) cid in
+    list_size (int_range 0 300)
+      (frequency
+         [
+           (8, map (fun c -> Receive c) cid);
+           (2, map (fun k -> Take k) (int_range 0 8));
+           (3, map (fun k -> Decide k) (int_range 1 8));
+           (2, map (fun l -> Churn l) (list_size (int_range 0 40) cid));
+           (1, return Crash);
+           (1, map (fun l -> Restart l) cids);
+           (2, map (fun l -> Floor l) cids);
+         ]))
+
+(* The batch choice as [Tob] made it before the index: fold the table,
+   sort the cids, take the first [k]. *)
+let reference_take tbl k =
+  let ids = Hashtbl.fold (fun cid _ acc -> cid :: acc) tbl [] in
+  let rec take k = function
+    | [] -> []
+    | _ when k = 0 -> []
+    | cid :: rest -> (cid, Hashtbl.find tbl cid) :: take (k - 1) rest
+  in
+  take k (List.sort compare ids)
+
+let prop_pending_matches_reference =
+  QCheck.Test.make ~name:"pending index = fold+sort+take" ~count:500
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_pending_op ops))
+       gen_pending_ops)
+    (fun ops ->
+      let p = Rsm.Pending.create () in
+      let tbl = Hashtbl.create 16 in
+      let step = ref 0 in
+      let receive cid =
+        (* the value records when it arrived, so a stale binding shows *)
+        incr step;
+        Rsm.Pending.add p cid (cid, !step);
+        Hashtbl.replace tbl cid (cid, !step)
+      in
+      let remove cid =
+        Rsm.Pending.remove p cid;
+        Hashtbl.remove tbl cid
+      in
+      let clear () =
+        Rsm.Pending.clear p;
+        Hashtbl.reset tbl
+      in
+      let take k =
+        let got = Rsm.Pending.take p k in
+        let want = List.map snd (reference_take tbl k) in
+        if got <> want then
+          QCheck.Test.fail_reportf "take %d: got [%s], want [%s]" k
+            (String.concat ";" (List.map (fun (c, _) -> string_of_int c) got))
+            (String.concat ";" (List.map (fun (c, _) -> string_of_int c) want));
+        let cids = List.map fst got in
+        if List.sort_uniq compare cids <> cids then
+          QCheck.Test.fail_reportf "take %d: duplicated or unordered cids" k;
+        if List.exists (fun c -> not (Hashtbl.mem tbl c)) cids then
+          QCheck.Test.fail_reportf "take %d: returned a removed cid" k;
+        cids
+      in
+      List.iter
+        (function
+          | Receive c -> receive c
+          | Take k -> ignore (take k : int list)
+          | Decide k -> List.iter remove (take k)
+          | Churn l ->
+              List.iter
+                (fun c ->
+                  receive c;
+                  remove c)
+                l
+          | Crash -> clear ()
+          | Restart l ->
+              clear ();
+              List.iter receive l
+          | Floor l -> List.iter remove l)
+        ops;
+      Rsm.Pending.length p = Hashtbl.length tbl
+      && take max_int = List.sort compare (Hashtbl.fold (fun c _ a -> c :: a) tbl []))
+
+(* --- tob: version-gated wake-ups --------------------------------------- *)
+
+(* A replica parked in a gated [await] re-evaluates its predicate only
+   when a version it reads moves, so each input that can unblock it must
+   move one.  Every scenario below parks all replicas first, then feeds
+   exactly one such input at t=5; a missed wake-up leaves the run in
+   [Deadlock] instead of [Quiescent].  Replicas stop once every replica
+   has delivered [expect] commands (or installed a floor). *)
+let wake_run ?(partition = false) ~n ~expect input =
+  let eng = Dsim.Engine.create ~seed:3L () in
+  let net = Netsim.Async_net.create eng ~n ~retain_inbox:false () in
+  if partition then
+    Netsim.Async_net.set_partition net (List.init n (fun p -> [ p ]));
+  let log =
+    Log.create ~engine:eng ~backend:Backend.ben_or ~seed:3L
+      ~live:(fun () -> List.init n Fun.id) ()
+  in
+  let cell = ref None in
+  let tob () = Option.get !cell in
+  let done_ () =
+    if
+      List.for_all
+        (fun pid -> Tob.delivered_count (tob ()) ~pid >= expect)
+        (List.init n Fun.id)
+    then Tob.stop (tob ())
+  in
+  let deliver ~pid:_ ~slot:_ _ = done_ () in
+  let on_install ~pid:_ ~owner:_ ~upto:_ ~state:_ ~cids:_ = done_ () in
+  cell :=
+    Some (Tob.create ~engine:eng ~net ~log ~batch:4 ~deliver ~on_install ());
+  Dsim.Engine.schedule eng ~delay:5 (fun () -> input ~net ~log ~tob:(tob ()));
+  match Dsim.Engine.run eng with
+  | Dsim.Engine.Quiescent -> tob ()
+  | Dsim.Engine.Deadlock pids ->
+      Alcotest.failf "deadlock: pids %s still blocked"
+        (String.concat "," (List.map string_of_int pids))
+  | _ -> Alcotest.fail "run did not finish"
+
+let entry cid = { Tob.cid; op = "x" }
+
+let wake_by_broadcast () =
+  (* replica 0's only input: a command its sibling sent it *)
+  let tob =
+    wake_run ~n:2 ~expect:1
+      (fun ~net ~log:_ ~tob:_ ->
+        Netsim.Async_net.send net ~src:1 ~dst:0 (entry 1))
+  in
+  check Alcotest.bool "delivered" true (Tob.is_delivered tob ~cid:1)
+
+let wake_by_opened_slot () =
+  (* the partition drops replica 1's broadcast, so replica 0 learns of
+     slot 0 only from the log *)
+  ignore
+    (wake_run ~n:2 ~expect:1 ~partition:true
+       (fun ~net:_ ~log:_ ~tob ->
+         ignore (Tob.submit tob ~replica:1 (entry 1) : bool))
+      : string Tob.t)
+
+let wake_by_decision () =
+  (* the lone replica proposes, then waits on the decider's publish *)
+  ignore
+    (wake_run ~n:1 ~expect:1
+       (fun ~net:_ ~log:_ ~tob ->
+         ignore (Tob.submit tob ~replica:0 (entry 1) : bool))
+      : string Tob.t)
+
+let wake_by_floor () =
+  let tob =
+    wake_run ~n:2 ~expect:2
+      (fun ~net:_ ~log ~tob:_ ->
+        Log.set_floor log ~owner:1 ~upto:3 ~state:"snap" ~cids:[ 10; 11 ])
+  in
+  check Alcotest.int "replica 0 resumes after the floor" 4
+    (Tob.next_slot tob ~pid:0)
+
+let wake_by_stop () =
+  ignore
+    (wake_run ~n:2 ~expect:max_int (fun ~net:_ ~log:_ ~tob -> Tob.stop tob)
+      : string Tob.t)
+
 (* --- runner: batching -------------------------------------------------- *)
 
 (* Fewer slots (and so fewer backend instances) with a larger batch, same
@@ -290,6 +535,15 @@ let suite =
         Alcotest.test_case "log releases on crash" `Quick
           log_waits_then_releases_on_crash;
         Alcotest.test_case "duplicate suppression" `Quick duplicate_suppression;
+        Alcotest.test_case "batch takes the smallest cids" `Quick
+          batch_choice_golden;
+        qtest prop_pending_matches_reference;
+        Alcotest.test_case "wake-up: sibling broadcast" `Quick wake_by_broadcast;
+        Alcotest.test_case "wake-up: slot opened elsewhere" `Quick
+          wake_by_opened_slot;
+        Alcotest.test_case "wake-up: published decision" `Quick wake_by_decision;
+        Alcotest.test_case "wake-up: state-transfer floor" `Quick wake_by_floor;
+        Alcotest.test_case "wake-up: stop" `Quick wake_by_stop;
         Alcotest.test_case "batching amortizes consensus" `Quick batching_amortizes;
         Alcotest.test_case "queue/batching invariance" `Quick
           queue_and_batching_invariance;
