@@ -11,7 +11,12 @@ type 'cmd slot = {
   mutable decision : 'cmd slot_decision option;
 }
 
-type floor = { owner : int; upto : int; state : string; cids : int list }
+type floor = {
+  owner : int;
+  upto : int;
+  state : string Lazy.t;
+  cids : int list Lazy.t;
+}
 
 type 'cmd t = {
   engine : Dsim.Engine.t;

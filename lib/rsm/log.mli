@@ -101,12 +101,22 @@ val reseed : 'cmd t -> slot:int -> winner:int -> batch:'cmd list -> unit
 type floor = {
   owner : int;  (** replica offering the snapshot (the state donor) *)
   upto : int;  (** highest slot the snapshot covers *)
-  state : string;  (** opaque app snapshot payload *)
-  cids : int list;  (** every command id delivered up to [upto] *)
+  state : string Lazy.t;  (** opaque app snapshot payload *)
+  cids : int list Lazy.t;
+      (** every command id delivered up to [upto], ascending *)
 }
+(** [state] and [cids] are suspensions over what the donor captured when
+    it took the snapshot — immutable values, so advertising a floor is
+    O(1).  Only a replica that installs the floor forces them (see
+    {!Tob}); a floor nobody falls behind is never encoded. *)
 
 val set_floor :
-  'cmd t -> owner:int -> upto:int -> state:string -> cids:int list -> unit
+  'cmd t ->
+  owner:int ->
+  upto:int ->
+  state:string Lazy.t ->
+  cids:int list Lazy.t ->
+  unit
 (** Advertise a durable snapshot for state transfer.  Kept only if it
     covers more than the current floor.  A replica whose next slot is at
     or below the floor cannot replay slot-by-slot (the donor may have

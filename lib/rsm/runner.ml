@@ -144,6 +144,11 @@ let encode_snapshot ~upto ~state ~cids =
   Printf.sprintf "%d\n%s\n%s" upto state
     (String.concat "," (List.map string_of_int cids))
 
+(* Nothing is encoded until recovery or state transfer forces the
+   result; [state] and [cids] must suspend over immutable values. *)
+let snapshot_payload ~upto ~state ~cids =
+  lazy (encode_snapshot ~upto ~state:(Lazy.force state) ~cids:(Lazy.force cids))
+
 let decode_snapshot payload =
   match String.split_on_char '\n' payload with
   | upto :: state :: cids :: _ ->
@@ -154,11 +159,10 @@ let decode_snapshot payload =
   | _ -> invalid_arg "Runner: malformed snapshot payload"
 
 type 'op recovered_disk = {
-  r_snap : (int * string * int list) option;  (* upto, app state, cids *)
+  r_snap : (int * string * int list) option;
   r_slots : (int * int * 'op Tob.entry list) list;
-      (* every committed slot on disk (slot, winner, entries), ascending *)
-  r_next_slot : int;  (* end of the contiguous committed prefix *)
-  r_cids : int list;  (* delivered set recovery reproduces *)
+  r_next_slot : int;
+  r_cids : int list;
 }
 
 (* Read a disk back the way recovery would: latest snapshot, then the
@@ -169,7 +173,7 @@ type 'op recovered_disk = {
 let recover_disk ~op_of_string disk =
   let r_snap =
     Option.map
-      (fun s -> decode_snapshot s.Store.Disk.payload)
+      (fun s -> decode_snapshot (Lazy.force s.Store.Disk.payload))
       (Store.Disk.latest_snapshot disk)
   in
   let base_slot = match r_snap with Some (upto, _, _) -> upto | None -> -1 in
@@ -333,11 +337,15 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
         Dsim.Engine.schedule eng ~delay:retry_delay (log_slot pid slot fresh epoch0)
     end
   in
+  (* Capture only: [apps.(pid)] is an immutable value and the delivered
+     set's capture is O(1), so a snapshot costs O(1) whatever the
+     history. *)
   let take_snapshot pid ~upto =
     let disk = disks.(pid) in
-    let state = app.state_to_string apps.(pid) in
-    let cids = Tob.delivered_cids (the_tob ()) ~pid in
-    let payload = encode_snapshot ~upto ~state ~cids in
+    let st = apps.(pid) in
+    let state = lazy (app.state_to_string st) in
+    let cids = Tob.capture_delivered (the_tob ()) ~pid in
+    let payload = snapshot_payload ~upto ~state ~cids in
     let watermark = last_seq.(pid) in
     let flying = awaiting.(pid) in
     awaiting.(pid) <- [];
@@ -365,7 +373,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     end
   in
   let on_install ~pid ~owner ~upto ~state ~cids =
-    apps.(pid) <- app.state_of_string state;
+    apps.(pid) <- app.state_of_string (Lazy.force state);
     Checker.record_installed checker ~replica:pid ~from_replica:owner
       ~upto_slot:upto;
     Dsim.Engine.emitk eng ~tag:"rsm" (fun () ->
@@ -374,7 +382,7 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
     if store_on then begin
       (* persist the received snapshot so this replica's own next
          recovery starts from it, and drop the WAL it supersedes *)
-      let payload = encode_snapshot ~upto ~state ~cids in
+      let payload = snapshot_payload ~upto ~state ~cids in
       let watermark = last_seq.(pid) in
       match
         Store.Disk.save_snapshot disks.(pid) ~upto payload ~k:(fun () ->
@@ -487,7 +495,8 @@ let run (type op st) (app : (op, st) app) (cfg : op config) : op report =
         (match rd.r_snap with
         | Some (upto, state, cids) ->
             apps.(victim) <- app.state_of_string state;
-            Log.set_floor log ~owner:victim ~upto ~state ~cids
+            Log.set_floor log ~owner:victim ~upto ~state:(Lazy.from_val state)
+              ~cids:(Lazy.from_val cids)
         | None -> apps.(victim) <- app.init);
         List.iter
           (fun (slot, _w, entries) ->

@@ -57,7 +57,11 @@ type ('op, 'st) app = {
           it).  Must be pure — every replica applies the same log. *)
   op_to_string : 'op -> string;  (** WAL codec; must be newline-free *)
   op_of_string : string -> 'op;
-  state_to_string : 'st -> string;  (** snapshot codec; newline-free *)
+  state_to_string : 'st -> string;
+      (** snapshot codec; newline-free.  A snapshot keeps the state
+          value itself and encodes it only when read, so ['st] must be
+          immutable — [apply] returns a new state rather than changing
+          the old one. *)
   state_of_string : string -> 'st;
   digest : 'st -> string;
       (** canonical fingerprint — equal states must yield equal digests,
@@ -180,6 +184,44 @@ type 'op report = {
       (** the replicas' disks, for post-run inspection — WAL records and
           snapshot chains ([[||]] when no store) *)
 }
+
+(** {1 Durable format}
+
+    The WAL and snapshot codec, shared with [Shard.Group].  A slot is
+    written as its freshly applied entries, one [E <slot> <cid> <op>]
+    record each, then a [C <slot> <winner>] commit marker.  A snapshot
+    payload is three lines: covered slot, encoded app state, and the
+    comma-separated delivered cids in ascending order. *)
+
+val encode_entry :
+  op_to_string:('op -> string) -> int -> 'op Tob.entry -> string
+
+val encode_commit : int -> int -> string
+
+val snapshot_payload :
+  upto:int -> state:string Lazy.t -> cids:int list Lazy.t -> string Lazy.t
+(** The payload of a snapshot covering slots up to [upto], encoded only
+    when forced; [state] and [cids] must suspend over immutable values
+    (DESIGN §9).  Forcing it yields the bytes an eager encoding would. *)
+
+val decode_snapshot : string -> int * string * int list
+(** [(upto, state, cids)] of a forced payload. *)
+
+type 'op recovered_disk = {
+  r_snap : (int * string * int list) option;
+      (** the latest snapshot, decoded: upto, app state, cids *)
+  r_slots : (int * int * 'op Tob.entry list) list;
+      (** every committed slot after it (slot, winner, entries),
+          ascending *)
+  r_next_slot : int;  (** end of the contiguous committed prefix *)
+  r_cids : int list;  (** delivered set recovery reproduces, ascending *)
+}
+
+val recover_disk :
+  op_of_string:(string -> 'op) -> Store.Disk.t -> 'op recovered_disk
+(** Read a disk back the way recovery does: the latest snapshot (forcing
+    its payload), then the WAL, trusting only slots whose commit marker
+    survived and only up to the first gap in slot numbers. *)
 
 val run : ('op, 'st) app -> 'op config -> 'op report
 (** Execute one simulation until the workload drains (or the event

@@ -2,7 +2,7 @@ type 'cmd entry = { cid : int; op : 'cmd }
 
 type 'cmd replica = {
   pending : 'cmd entry Pending.t;  (* cid -> entry, not yet ordered *)
-  delivered : (int, unit) Hashtbl.t;
+  delivered : Delivered.t;
   mutable next_slot : int;
   mutable delivered_count : int;
 }
@@ -17,7 +17,12 @@ type 'cmd t = {
   deliver : pid:int -> slot:int -> 'cmd entry -> unit;
   on_slot_applied : pid:int -> slot:int -> fresh:'cmd entry list -> unit;
   on_install :
-    pid:int -> owner:int -> upto:int -> state:string -> cids:int list -> unit;
+    pid:int ->
+    owner:int ->
+    upto:int ->
+    state:string Lazy.t ->
+    cids:int list Lazy.t ->
+    unit;
   replicas : 'cmd replica array;
   processes : Dsim.Engine.pid array;
   delivered_any : (int, unit) Hashtbl.t;
@@ -26,7 +31,7 @@ type 'cmd t = {
 
 let receive t pid e =
   let r = t.replicas.(pid) in
-  if not (Hashtbl.mem r.delivered e.cid) then Pending.add r.pending e.cid e
+  if not (Delivered.mem r.delivered e.cid) then Pending.add r.pending e.cid e
 
 let floor_ready t (r : _ replica) =
   match Log.floor t.log with
@@ -37,14 +42,14 @@ let floor_ready t (r : _ replica) =
    (the donor may have compacted the slots it would need to replay), so
    it adopts the donor's state wholesale instead of going slot by slot. *)
 let install_floor t pid (r : _ replica) (f : Log.floor) =
-  Hashtbl.reset r.delivered;
+  let cids = Lazy.force f.Log.cids in
+  Delivered.reset r.delivered cids;
   List.iter
     (fun cid ->
-      Hashtbl.replace r.delivered cid ();
       Hashtbl.replace t.delivered_any cid ();
       Pending.remove r.pending cid)
-    f.Log.cids;
-  r.delivered_count <- List.length f.Log.cids;
+    cids;
+  r.delivered_count <- List.length cids;
   r.next_slot <- f.Log.upto + 1;
   t.on_install ~pid ~owner:f.Log.owner ~upto:f.Log.upto ~state:f.Log.state
     ~cids:f.Log.cids
@@ -93,7 +98,7 @@ let replica_loop t pid _ctx =
             let d = gated_await t r (fun () -> Log.decided t.log ~slot) in
             let fresh =
               List.filter
-                (fun (e : _ entry) -> not (Hashtbl.mem r.delivered e.cid))
+                (fun (e : _ entry) -> not (Delivered.mem r.delivered e.cid))
                 d.Log.batch
             in
             List.iter
@@ -101,7 +106,7 @@ let replica_loop t pid _ctx =
               d.Log.batch;
             List.iter
               (fun (e : _ entry) ->
-                Hashtbl.replace r.delivered e.cid ();
+                Delivered.add r.delivered e.cid;
                 r.delivered_count <- r.delivered_count + 1;
                 Hashtbl.replace t.delivered_any e.cid ();
                 t.deliver ~pid ~slot e)
@@ -130,7 +135,7 @@ let create ~engine ~net ~log ~batch ~deliver
         Array.init n (fun _ ->
             {
               pending = Pending.create ();
-              delivered = Hashtbl.create 64;
+              delivered = Delivered.create ();
               next_slot = 0;
               delivered_count = 0;
             });
@@ -170,12 +175,10 @@ let restart t ?recovery pid =
     | None -> ()
     | Some rc ->
         let r = t.replicas.(pid) in
-        Hashtbl.reset r.delivered;
+        Delivered.reset r.delivered rc.delivered_cids;
         Pending.clear r.pending;
         List.iter
-          (fun cid ->
-            Hashtbl.replace r.delivered cid ();
-            Hashtbl.replace t.delivered_any cid ())
+          (fun cid -> Hashtbl.replace t.delivered_any cid ())
           rc.delivered_cids;
         r.delivered_count <- List.length rc.delivered_cids;
         r.next_slot <- rc.next_slot);
@@ -187,9 +190,7 @@ let restart t ?recovery pid =
 
 let delivered_count t ~pid = t.replicas.(pid).delivered_count
 
-let delivered_cids t ~pid =
-  Hashtbl.fold (fun cid _ acc -> cid :: acc) t.replicas.(pid).delivered []
-  |> List.sort compare
+let capture_delivered t ~pid = Delivered.capture t.replicas.(pid).delivered
 
 let next_slot t ~pid = t.replicas.(pid).next_slot
 let is_delivered t ~cid = Hashtbl.mem t.delivered_any cid

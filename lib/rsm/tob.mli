@@ -43,7 +43,12 @@ val create :
   deliver:(pid:int -> slot:int -> 'cmd entry -> unit) ->
   ?on_slot_applied:(pid:int -> slot:int -> fresh:'cmd entry list -> unit) ->
   ?on_install:
-    (pid:int -> owner:int -> upto:int -> state:string -> cids:int list -> unit) ->
+    (pid:int ->
+    owner:int ->
+    upto:int ->
+    state:string Lazy.t ->
+    cids:int list Lazy.t ->
+    unit) ->
   unit ->
   'cmd t
 (** Install delivery handlers and spawn one replica process per network
@@ -57,7 +62,7 @@ val create :
     granularity.  [on_install] fires when a replica adopts a snapshot
     from the log's state-transfer floor (see {!Log.set_floor}) instead
     of replaying slots; the receiver must restore the app state from
-    [state]. *)
+    [state], which forces it. *)
 
 val submit : 'cmd t -> replica:int -> 'cmd entry -> bool
 (** Inject a command at [replica] (the client RPC): [false] if that
@@ -84,9 +89,10 @@ val restart : 'cmd t -> ?recovery:recovery -> int -> unit
 
 val delivered_count : 'cmd t -> pid:int -> int
 
-val delivered_cids : 'cmd t -> pid:int -> int list
-(** Sorted command ids the replica has applied — the delivered-set part
-    of a snapshot payload. *)
+val capture_delivered : 'cmd t -> pid:int -> int list Lazy.t
+(** The command ids the replica has applied, ascending — the
+    delivered-set part of a snapshot payload.  O(1): see
+    {!Delivered.capture}. *)
 
 val next_slot : 'cmd t -> pid:int -> int
 val is_delivered : 'cmd t -> cid:int -> bool

@@ -1,97 +1,10 @@
 (* One shard's consensus group in a shared engine.  The WAL format,
-   recovery rules and snapshot flow are ported from Rsm.Runner (same
-   record grammar, Cmd codec instead of the kv one), so a shard's
-   crash–recovery behaviour is exactly the single-group model's. *)
+   recovery rules and snapshot flow are Rsm.Runner's (same codec, with
+   Cmd's op encoding), so a shard's crash–recovery behaviour is exactly
+   the single-group model's. *)
 
-type wal_item = W_entry of int * int * Cmd.t | W_commit of int * int
-
-let encode_entry slot (e : Cmd.t Rsm.Tob.entry) =
-  Printf.sprintf "E %d %d %s" slot e.Rsm.Tob.cid (Cmd.to_string e.Rsm.Tob.op)
-
-let encode_commit slot winner = Printf.sprintf "C %d %d" slot winner
-
-let decode_record s =
-  if String.length s > 0 && s.[0] = 'C' then
-    Scanf.sscanf s "C %d %d" (fun slot w -> W_commit (slot, w))
-  else
-    Scanf.sscanf s "E %d %d %[^\n]" (fun slot cid rest ->
-        W_entry (slot, cid, Cmd.of_string rest))
-
-let encode_snapshot ~upto ~state ~cids =
-  Printf.sprintf "%d\n%s\n%s" upto state
-    (String.concat "," (List.map string_of_int cids))
-
-let decode_snapshot payload =
-  match String.split_on_char '\n' payload with
-  | upto :: state :: cids :: _ ->
-      ( int_of_string upto,
-        state,
-        if cids = "" then []
-        else List.map int_of_string (String.split_on_char ',' cids) )
-  | _ -> invalid_arg "Group: malformed snapshot payload"
-
-type recovered_disk = {
-  r_snap : (int * string * int list) option;
-  r_slots : (int * int * Cmd.t Rsm.Tob.entry list) list;
-  r_next_slot : int;
-  r_cids : int list;
-}
-
-let recover_disk disk =
-  let r_snap =
-    Option.map
-      (fun s -> decode_snapshot s.Store.Disk.payload)
-      (Store.Disk.latest_snapshot disk)
-  in
-  let base_slot = match r_snap with Some (upto, _, _) -> upto | None -> -1 in
-  let entries : (int, Cmd.t Rsm.Tob.entry list ref) Hashtbl.t =
-    Hashtbl.create 32
-  in
-  let committed : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  List.iter
-    (fun (r : Store.Disk.record) ->
-      match decode_record r.Store.Disk.data with
-      | W_entry (slot, cid, op) when slot > base_slot ->
-          let l =
-            match Hashtbl.find_opt entries slot with
-            | Some l -> l
-            | None ->
-                let l = ref [] in
-                Hashtbl.replace entries slot l;
-                l
-          in
-          if
-            not
-              (List.exists (fun (e : _ Rsm.Tob.entry) -> e.Rsm.Tob.cid = cid) !l)
-          then l := !l @ [ { Rsm.Tob.cid; op } ]
-      | W_commit (slot, w) when slot > base_slot ->
-          if not (Hashtbl.mem committed slot) then Hashtbl.replace committed slot w
-      | W_entry _ | W_commit _ -> ())
-    (Store.Disk.read_back disk);
-  let entries_of slot =
-    match Hashtbl.find_opt entries slot with Some l -> !l | None -> []
-  in
-  let r_slots =
-    Hashtbl.fold (fun slot w acc -> (slot, w, entries_of slot) :: acc) committed []
-    |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
-  in
-  let rec prefix_end s = if Hashtbl.mem committed s then prefix_end (s + 1) else s in
-  let r_next_slot = prefix_end (base_slot + 1) in
-  let cid_set = Hashtbl.create 64 in
-  (match r_snap with
-  | Some (_, _, cids) -> List.iter (fun c -> Hashtbl.replace cid_set c ()) cids
-  | None -> ());
-  List.iter
-    (fun (slot, _, es) ->
-      if slot < r_next_slot then
-        List.iter
-          (fun (e : _ Rsm.Tob.entry) -> Hashtbl.replace cid_set e.Rsm.Tob.cid ())
-          es)
-    r_slots;
-  let r_cids =
-    Hashtbl.fold (fun c _ acc -> c :: acc) cid_set [] |> List.sort compare
-  in
-  { r_snap; r_slots; r_next_slot; r_cids }
+let encode_entry = Rsm.Runner.encode_entry ~op_to_string:Cmd.to_string
+let recover_disk = Rsm.Runner.recover_disk ~op_of_string:Cmd.of_string
 
 type t = {
   engine : Dsim.Engine.t;
@@ -177,7 +90,7 @@ let rec log_slot t pid slot fresh epoch0 () =
     in
     if
       List.for_all (fun e -> append (encode_entry slot e)) fresh
-      && append (encode_commit slot winner)
+      && append (Rsm.Runner.encode_commit slot winner)
     then begin
       t.awaiting.(pid) <-
         t.awaiting.(pid)
@@ -189,11 +102,14 @@ let rec log_slot t pid slot fresh epoch0 () =
         (log_slot t pid slot fresh epoch0)
   end
 
+(* Capture only, O(1): the machine's persistent maps and the delivered
+   set's frozen chunks are held as they are, and encoded only when
+   somebody reads the snapshot. *)
 let take_snapshot t pid ~upto =
   let disk = t.disks.(pid) in
   let state = Machine.snapshot t.machines.(pid) in
-  let cids = Rsm.Tob.delivered_cids (the_tob t) ~pid in
-  let payload = encode_snapshot ~upto ~state ~cids in
+  let cids = Rsm.Tob.capture_delivered (the_tob t) ~pid in
+  let payload = Rsm.Runner.snapshot_payload ~upto ~state ~cids in
   let watermark = t.last_seq.(pid) in
   let flying = t.awaiting.(pid) in
   t.awaiting.(pid) <- [];
@@ -283,14 +199,14 @@ let create ~engine ~shard ~replicas:n ~backend ~seed
     end
   in
   let on_install ~pid ~owner ~upto ~state ~cids =
-    t.machines.(pid) <- Machine.restore state;
+    t.machines.(pid) <- Machine.restore (Lazy.force state);
     Rsm.Checker.record_installed t.checker ~replica:pid ~from_replica:owner
       ~upto_slot:upto;
     Dsim.Engine.emitk engine ~tag:"shard" (fun () ->
         Printf.sprintf "shard %d replica %d installed snapshot upto %d from %d"
           t.shard pid upto owner);
     if t.store_on then begin
-      let payload = encode_snapshot ~upto ~state ~cids in
+      let payload = Rsm.Runner.snapshot_payload ~upto ~state ~cids in
       let watermark = t.last_seq.(pid) in
       match
         Store.Disk.save_snapshot t.disks.(pid) ~upto payload ~k:(fun () ->
@@ -341,11 +257,11 @@ let restart t victim =
     if t.store_on then begin
       let rd = recover_disk t.disks.(victim) in
       (match rd.r_snap with
-      | Some (_, state, _) -> t.machines.(victim) <- Machine.restore state
+      | Some (upto, state, cids) ->
+          t.machines.(victim) <- Machine.restore state;
+          Rsm.Log.set_floor t.log ~owner:victim ~upto
+            ~state:(Lazy.from_val state) ~cids:(Lazy.from_val cids)
       | None -> t.machines.(victim) <- Machine.create ~shard:t.shard);
-      (match rd.r_snap with
-      | Some (upto, state, cids) -> Rsm.Log.set_floor t.log ~owner:victim ~upto ~state ~cids
-      | None -> ());
       List.iter
         (fun (slot, _w, entries) ->
           if slot < rd.r_next_slot then
@@ -399,4 +315,5 @@ let messages_delivered t = Netsim.Async_net.messages_delivered t.net
 let crashed_list t = List.rev t.crashed_acc
 let restarted_list t = List.rev t.restarted_acc
 let store_stats t = Array.map Store.Disk.stats t.disks
+let disks t = t.disks
 let machine t r = t.machines.(r)

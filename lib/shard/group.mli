@@ -84,4 +84,9 @@ val messages_delivered : t -> int
 val crashed_list : t -> int list
 val restarted_list : t -> int list
 val store_stats : t -> Store.Disk.stats array
+
+val disks : t -> Store.Disk.t array
+(** The replicas' disks, for post-run inspection ([[||]] when no
+    store). *)
+
 val machine : t -> int -> Machine.t

@@ -11,50 +11,53 @@ type output =
   | O_decided of bool
   | O_outcome of bool
 
+module Smap = Map.Make (String)
+module Imap = Map.Make (Int)
+
+(* The tables are persistent maps in mutable fields: [apply] replaces a
+   field, it never changes a map in place, so a record holding today's
+   maps still holds them after any later [apply] (see [snapshot]). *)
 type t = {
   shard : int;
-  kv : (string, string) Hashtbl.t;
-  txs : (int, tx_entry) Hashtbl.t;
-  locks : (string, int) Hashtbl.t;  (* key -> holding txid *)
+  mutable kv : string Smap.t;
+  mutable txs : tx_entry Imap.t;
+  mutable locks : int Smap.t;  (* key -> holding txid *)
 }
 
 let create ~shard =
-  {
-    shard;
-    kv = Hashtbl.create 64;
-    txs = Hashtbl.create 32;
-    locks = Hashtbl.create 32;
-  }
+  { shard; kv = Smap.empty; txs = Imap.empty; locks = Smap.empty }
 
 let shard t = t.shard
-let lookup t k = Hashtbl.find_opt t.kv k
-let locked_keys t = Hashtbl.length t.locks
+let lookup t k = Smap.find_opt k t.kv
+let locked_keys t = Smap.cardinal t.locks
 
 let tx_status t txid =
-  Option.map (fun e -> e.status) (Hashtbl.find_opt t.txs txid)
+  Option.map (fun e -> e.status) (Imap.find_opt txid t.txs)
+
+let set_kv t k v = t.kv <- Smap.add k v t.kv
 
 let apply_kv t (c : Obj.Kv.op) : Obj.Kv.resp =
   match c with
-  | Get k -> Got (Hashtbl.find_opt t.kv k)
+  | Get k -> Got (lookup t k)
   | Set (k, v) ->
-      Hashtbl.replace t.kv k v;
+      set_kv t k v;
       Done
   | Cas { key; expect; update } ->
-      if Hashtbl.find_opt t.kv key = expect then begin
-        Hashtbl.replace t.kv key update;
+      if lookup t key = expect then begin
+        set_kv t key update;
         Cas_result true
       end
       else Cas_result false
 
 let apply_wop t = function
-  | Cmd.W_set (k, v) -> Hashtbl.replace t.kv k v
+  | Cmd.W_set (k, v) -> set_kv t k v
   | Cmd.W_add (k, d) ->
       let cur =
-        match Hashtbl.find_opt t.kv k with
+        match lookup t k with
         | Some v -> ( try int_of_string v with _ -> 0)
         | None -> 0
       in
-      Hashtbl.replace t.kv k (string_of_int (cur + d))
+      set_kv t k (string_of_int (cur + d))
 
 let my_slice t (tx : Cmd.tx) =
   match List.assoc_opt t.shard tx.ops with Some w -> w | None -> []
@@ -63,21 +66,26 @@ let unlock t txid wops =
   List.iter
     (fun w ->
       let k = Cmd.wop_key w in
-      match Hashtbl.find_opt t.locks k with
-      | Some holder when holder = txid -> Hashtbl.remove t.locks k
+      match Smap.find_opt k t.locks with
+      | Some holder when holder = txid -> t.locks <- Smap.remove k t.locks
       | _ -> ())
     wops
+
+(* Settled entries carry no ops, so every replica shares these two. *)
+let committed = { status = Committed; buffered = [] }
+let aborted = { status = Aborted; buffered = [] }
+let settled commit = if commit then committed else aborted
+let set_tx t txid e = t.txs <- Imap.add txid e t.txs
 
 (* Resolve a Prepared transaction with the given decision; the fenced
    paths (no buffered prepare) are handled by the callers. *)
 let settle t txid entry commit =
   if commit then List.iter (apply_wop t) entry.buffered;
   unlock t txid entry.buffered;
-  Hashtbl.replace t.txs txid
-    { status = (if commit then Committed else Aborted); buffered = [] }
+  set_tx t txid (settled commit)
 
 let apply_prepare t (tx : Cmd.tx) =
-  match Hashtbl.find_opt t.txs tx.txid with
+  match Imap.find_opt tx.txid t.txs with
   | Some { status = Prepared; _ } -> O_vote true
   | Some { status = Committed; _ } | Some { status = Aborted; _ } ->
       (* fenced: the decision beat the prepare here; too late to lock *)
@@ -88,24 +96,24 @@ let apply_prepare t (tx : Cmd.tx) =
       let conflict =
         List.exists
           (fun k ->
-            match Hashtbl.find_opt t.locks k with
+            match Smap.find_opt k t.locks with
             | Some holder -> holder <> tx.txid
             | None -> false)
           keys
       in
       if conflict || slice = [] then begin
         (* vote no (a prepare with no local ops is malformed routing) *)
-        Hashtbl.replace t.txs tx.txid { status = Aborted; buffered = [] };
+        set_tx t tx.txid aborted;
         O_vote false
       end
       else begin
-        List.iter (fun k -> Hashtbl.replace t.locks k tx.txid) keys;
-        Hashtbl.replace t.txs tx.txid { status = Prepared; buffered = slice };
+        List.iter (fun k -> t.locks <- Smap.add k tx.txid t.locks) keys;
+        set_tx t tx.txid { status = Prepared; buffered = slice };
         O_vote true
       end
 
 let apply_decision t txid commit mk =
-  match Hashtbl.find_opt t.txs txid with
+  match Imap.find_opt txid t.txs with
   | Some ({ status = Prepared; _ } as e) ->
       settle t txid e commit;
       mk commit
@@ -113,8 +121,7 @@ let apply_decision t txid commit mk =
   | Some { status = Aborted; _ } -> mk false
   | None ->
       (* fence: remember the decision so a late prepare votes no *)
-      Hashtbl.replace t.txs txid
-        { status = (if commit then Committed else Aborted); buffered = [] };
+      set_tx t txid (settled commit);
       mk commit
 
 let apply t (c : Cmd.t) =
@@ -126,8 +133,9 @@ let apply t (c : Cmd.t) =
       apply_decision t txid commit (fun c -> O_outcome c)
 
 (* {2 Serialization} — single line, counted tokens, %S-quoted strings
-   (same discipline as {!Cmd}'s codec); everything emitted in sorted
-   order so replicas in equal states produce byte-equal strings. *)
+   (same discipline as {!Cmd}'s codec); everything emitted in key order
+   (the maps' own) so replicas in equal states produce byte-equal
+   strings. *)
 
 let status_char = function Prepared -> 'P' | Committed -> 'C' | Aborted -> 'A'
 
@@ -140,21 +148,11 @@ let status_of_char = function
 let serialize t =
   let b = Buffer.create 256 in
   Buffer.add_string b (string_of_int t.shard);
-  let kvs =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.kv []
-    |> List.sort compare
-  in
-  Buffer.add_string b (Printf.sprintf " %d" (List.length kvs));
-  List.iter
-    (fun (k, v) -> Buffer.add_string b (Printf.sprintf " %S %S" k v))
-    kvs;
-  let txs =
-    Hashtbl.fold (fun id e acc -> (id, e) :: acc) t.txs []
-    |> List.sort compare
-  in
-  Buffer.add_string b (Printf.sprintf " %d" (List.length txs));
-  List.iter
-    (fun (id, e) ->
+  Buffer.add_string b (Printf.sprintf " %d" (Smap.cardinal t.kv));
+  Smap.iter (fun k v -> Buffer.add_string b (Printf.sprintf " %S %S" k v)) t.kv;
+  Buffer.add_string b (Printf.sprintf " %d" (Imap.cardinal t.txs));
+  Imap.iter
+    (fun id e ->
       Buffer.add_string b
         (Printf.sprintf " %d %c %d" id (status_char e.status)
            (List.length e.buffered));
@@ -163,11 +161,17 @@ let serialize t =
           Buffer.add_char b ' ';
           Buffer.add_string b (Cmd.wop_to_string w))
         e.buffered)
-    txs;
+    t.txs;
   Buffer.contents b
 
 let digest = serialize
-let snapshot = serialize
+
+(* The copy holds the maps as they are now; [apply] on [t] replaces
+   [t]'s fields and leaves the copy's alone, so forcing later still
+   encodes this instant. *)
+let snapshot t =
+  let frozen = { t with kv = t.kv } in
+  lazy (serialize frozen)
 
 let restore s =
   let ib = Scanf.Scanning.from_string s in
@@ -179,7 +183,7 @@ let restore s =
   for _ = 1 to nkv do
     let k = str () in
     let v = str () in
-    Hashtbl.replace t.kv k v
+    set_kv t k v
   done;
   let ntx = int () in
   for _ = 1 to ntx do
@@ -196,10 +200,10 @@ let restore s =
                   invalid_arg
                     (Printf.sprintf "Machine.restore: bad wop tag %c" c)))
     in
-    Hashtbl.replace t.txs id { status = st; buffered };
+    set_tx t id { status = st; buffered };
     if st = Prepared then
       List.iter
-        (fun w -> Hashtbl.replace t.locks (Cmd.wop_key w) id)
+        (fun w -> t.locks <- Smap.add (Cmd.wop_key w) id t.locks)
         buffered
   done;
   t

@@ -44,9 +44,13 @@ val locked_keys : t -> int
 val digest : t -> string
 (** Canonical (sorted) serialization; equal iff states equal. *)
 
-val snapshot : t -> string
-(** Single-line serialization of the full state (kv, transaction table,
-    buffered ops, locks); [digest (restore (snapshot t)) = digest t]. *)
+val snapshot : t -> string Lazy.t
+(** Capture the full state (kv, transaction table, buffered ops, locks)
+    in O(1) and encode it when forced: a single line, equal to what
+    {!digest} returns at capture time, however many {!apply}s came
+    after.  The capture holds the machine's persistent maps, which
+    {!apply} replaces but never changes.
+    [digest (restore (Lazy.force (snapshot t))) = digest t]. *)
 
 val restore : string -> t
 val pp_output : Format.formatter -> output -> unit

@@ -131,6 +131,8 @@ type single_rt = {
   mutable s_attempt : int;
 }
 
+module Txids = Set.Make (Int)
+
 let run cfg =
   if cfg.shards < 1 then invalid_arg "Shard.Runner.run: need at least one shard";
   let eng =
@@ -140,7 +142,8 @@ let run cfg =
   let router = Router.create ~shards:cfg.shards in
   let xchecker = Checker.create () in
   let txs : (int, tx_rt) Hashtbl.t = Hashtbl.create 256 in
-  let unfinished : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+  (* txids not yet finalized, ascending: the recovery daemon's worklist *)
+  let unfinished = ref Txids.empty in
   let singles : (int, single_rt) Hashtbl.t = Hashtbl.create 1024 in
   let clients = Array.length cfg.ops in
   let total_ops = Array.fold_left (fun a l -> a + List.length l) 0 cfg.ops in
@@ -213,7 +216,7 @@ let run cfg =
   let finalize trt =
     if not trt.tdone then begin
       trt.tdone <- true;
-      Hashtbl.remove unfinished trt.tx.Cmd.txid;
+      unfinished := Txids.remove trt.tx.Cmd.txid !unfinished;
       let commit = Option.value trt.decision ~default:false in
       if commit then begin
         incr txs_committed;
@@ -364,7 +367,7 @@ let run cfg =
       }
     in
     Hashtbl.replace txs txid trt;
-    Hashtbl.replace unfinished txid ();
+    unfinished := Txids.add txid !unfinished;
     List.iter (fun s -> submit_prepare trt s) tx.Cmd.participants;
     (match cfg.coordinator_crash txid with
     | After_prepare -> trt.abandoned <- true
@@ -428,11 +431,9 @@ let run cfg =
   let finished = ref false in
   let rec daemon () =
     if not !finished then begin
-      let stale =
-        Hashtbl.fold (fun txid () acc -> txid :: acc) unfinished []
-        |> List.sort compare
-      in
-      List.iter
+      (* walks the set as it is now, in ascending txid order, even though
+         [reconcile] may finalize (remove) txids along the way *)
+      Txids.iter
         (fun txid ->
           match Hashtbl.find_opt txs txid with
           | Some trt
@@ -442,7 +443,7 @@ let run cfg =
                   Printf.sprintf "recovery adopts tx %d" txid);
               reconcile trt
           | _ -> ())
-        stale;
+        !unfinished;
       Dsim.Engine.schedule eng ~delay:cfg.recovery_interval daemon
     end
   in

@@ -1,5 +1,5 @@
 type record = { seq : int; appended_at : int; data : string; torn : bool }
-type snapshot = { upto : int; taken_at : int; payload : string }
+type snapshot = { upto : int; taken_at : int; payload : string Lazy.t }
 
 type stats = {
   appends : int;
@@ -199,7 +199,7 @@ let pp_record ppf r =
 
 let pp_snapshot ppf s =
   Fmt.pf ppf "snapshot upto=%d @%d (%d bytes)" s.upto s.taken_at
-    (String.length s.payload)
+    (String.length (Lazy.force s.payload))
 
 let pp_stats ppf s =
   Fmt.pf ppf

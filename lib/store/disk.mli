@@ -27,7 +27,17 @@ type record = {
   torn : bool;  (** written inside a torn-write window *)
 }
 
-type snapshot = { upto : int; taken_at : int; payload : string }
+type snapshot = {
+  upto : int;
+  taken_at : int;
+  payload : string Lazy.t;
+      (** the encoded snapshot.  A writer hands over a suspension built
+          from values that can no longer change (see DESIGN §9), so
+          taking a snapshot costs O(1) and the bytes are only produced
+          when a reader — recovery, state transfer, {!pp_snapshot} —
+          forces them.  Forcing yields exactly what an eager encoding
+          at {!save_snapshot} time would have written. *)
+}
 
 type stats = {
   appends : int;
@@ -88,8 +98,14 @@ val records : t -> record list
 val unsynced_count : t -> int
 
 val save_snapshot :
-  t -> upto:int -> string -> k:(unit -> unit) -> (unit, [ `Io_error ]) result
-(** Write a snapshot covering state up to slot/index [upto]. Modeled as
+  t ->
+  upto:int ->
+  string Lazy.t ->
+  k:(unit -> unit) ->
+  (unit, [ `Io_error ]) result
+(** Write a snapshot covering state up to slot/index [upto]. The payload
+    is not forced here: it must be a suspension over immutable values.
+    Modeled as
     write-to-side-file + atomic rename: immune to torn writes and sync
     lies, but a crash before the (possibly stalled) install drops it.
     [k] fires once the snapshot is installed. *)

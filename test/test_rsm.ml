@@ -292,6 +292,73 @@ let prop_pending_matches_reference =
       Rsm.Pending.length p = Hashtbl.length tbl
       && take max_int = List.sort compare (Hashtbl.fold (fun c _ a -> c :: a) tbl []))
 
+(* --- tob: the delivered set's O(1) capture ----------------------------- *)
+
+type delivered_op =
+  | Deliver of int
+  | Reset of int list  (** a floor install or a disk recovery *)
+
+let pp_delivered_op = function
+  | Deliver c -> Printf.sprintf "deliver %d" c
+  | Reset l ->
+      Printf.sprintf "reset [%s]" (String.concat ";" (List.map string_of_int l))
+
+(* Enough distinct cids to fill several of [Delivered]'s chunks between
+   resets, and a narrow enough range that re-deliveries are common. *)
+let gen_delivered_ops =
+  QCheck.Gen.(
+    let cid = int_range 0 200 in
+    list_size (int_range 0 400)
+      (frequency
+         [
+           (30, map (fun c -> Deliver c) cid);
+           (1, map (fun l -> Reset l) (list_size (int_range 0 80) cid));
+         ]))
+
+(* A capture taken at step i is forced only after every later step; it
+   must still be the delivered set at step i, ascending. *)
+let prop_delivered_capture_is_immutable =
+  QCheck.Test.make ~name:"delivered capture = sorted set at capture time"
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_delivered_op ops))
+       gen_delivered_ops)
+    (fun ops ->
+      let d = Rsm.Delivered.create () in
+      let model = Hashtbl.create 64 in
+      let sorted () =
+        List.sort compare (Hashtbl.fold (fun c () acc -> c :: acc) model [])
+      in
+      let captures =
+        List.map
+          (fun op ->
+            (match op with
+            | Deliver c ->
+                Rsm.Delivered.add d c;
+                Hashtbl.replace model c ()
+            | Reset l ->
+                Rsm.Delivered.reset d l;
+                Hashtbl.reset model;
+                List.iter (fun c -> Hashtbl.replace model c ()) l);
+            if
+              not
+                (List.for_all
+                   (fun c -> Rsm.Delivered.mem d c = Hashtbl.mem model c)
+                   (List.init 201 Fun.id))
+            then QCheck.Test.fail_reportf "membership differs after %s"
+                (pp_delivered_op op);
+            (Rsm.Delivered.capture d, sorted ()))
+          ops
+      in
+      List.iteri
+        (fun i (lazy got, want) ->
+          if got <> want then
+            QCheck.Test.fail_reportf "capture %d: got [%s], want [%s]" i
+              (String.concat ";" (List.map string_of_int got))
+              (String.concat ";" (List.map string_of_int want)))
+        captures;
+      true)
+
 (* --- tob: version-gated wake-ups --------------------------------------- *)
 
 (* A replica parked in a gated [await] re-evaluates its predicate only
@@ -362,7 +429,8 @@ let wake_by_floor () =
   let tob =
     wake_run ~n:2 ~expect:2
       (fun ~net:_ ~log ~tob:_ ->
-        Log.set_floor log ~owner:1 ~upto:3 ~state:"snap" ~cids:[ 10; 11 ])
+        Log.set_floor log ~owner:1 ~upto:3 ~state:(lazy "snap")
+          ~cids:(lazy [ 10; 11 ]))
   in
   check Alcotest.int "replica 0 resumes after the floor" 4
     (Tob.next_slot tob ~pid:0)
@@ -538,6 +606,7 @@ let suite =
         Alcotest.test_case "batch takes the smallest cids" `Quick
           batch_choice_golden;
         qtest prop_pending_matches_reference;
+        qtest prop_delivered_capture_is_immutable;
         Alcotest.test_case "wake-up: sibling broadcast" `Quick wake_by_broadcast;
         Alcotest.test_case "wake-up: slot opened elsewhere" `Quick
           wake_by_opened_slot;

@@ -235,7 +235,7 @@ let machine_snapshot_roundtrip () =
           { Cmd.txid = 3; participants = [ 2 ]; ops = [ (2, [ Cmd.W_add ("z", 5) ]) ] })
       : Machine.output);
   ignore (Machine.apply m (Cmd.Outcome { txid = 9; commit = true }) : Machine.output);
-  let s = Machine.snapshot m in
+  let s = Lazy.force (Machine.snapshot m) in
   check Alcotest.bool "single line" false (String.contains s '\n');
   let m' = Machine.restore s in
   check Alcotest.string "digest survives roundtrip" (Machine.digest m)
@@ -432,6 +432,97 @@ let durable_under_storage_faults () =
   drained r;
   no_violations r
 
+(* --- O(1) snapshots --------------------------------------------------- *)
+
+(* Commands over a few keys and txids on shard 0, so prepares conflict,
+   decisions fence and race, and locks come and go. *)
+let gen_machine_cmds =
+  QCheck.Gen.(
+    let key = map (Printf.sprintf "k%d") (int_range 0 5) in
+    let value = map string_of_int (int_range 0 9) in
+    let txid = int_range 1 8 in
+    let wop =
+      oneof
+        [
+          map2 (fun k v -> Cmd.W_set (k, v)) key value;
+          map2 (fun k d -> Cmd.W_add (k, d)) key (int_range (-3) 3);
+        ]
+    in
+    list_size (int_range 0 60)
+      (frequency
+         [
+           (3, map2 (fun k v -> Cmd.Kv (Obj.Kv.Set (k, v))) key value);
+           (1, map (fun k -> Cmd.Kv (Obj.Kv.Get k)) key);
+           ( 1,
+             map3
+               (fun key expect update ->
+                 Cmd.Kv (Obj.Kv.Cas { key; expect; update }))
+               key (opt value) value );
+           ( 3,
+             map2
+               (fun txid slice ->
+                 Cmd.Prepare { Cmd.txid; participants = [ 0 ]; ops = [ (0, slice) ] })
+               txid
+               (list_size (int_range 1 3) wop) );
+           (2, map2 (fun txid commit -> Cmd.Decide { txid; commit }) txid bool);
+           (2, map2 (fun txid commit -> Cmd.Outcome { txid; commit }) txid bool);
+         ]))
+
+(* A snapshot taken at step i and forced after every later step encodes
+   the machine as it was at step i, and restores to that digest. *)
+let prop_machine_snapshot_is_immutable =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"machine snapshot = serialize at capture time"
+       ~count:300
+       (QCheck.make
+          ~print:(fun cmds -> String.concat "; " (List.map (Fmt.str "%a" Cmd.pp) cmds))
+          gen_machine_cmds)
+       (fun cmds ->
+         let m = Machine.create ~shard:0 in
+         let captures =
+           List.map
+             (fun c ->
+               ignore (Machine.apply m c : Machine.output);
+               (Machine.snapshot m, Machine.digest m))
+             cmds
+         in
+         List.iteri
+           (fun i (snap, eager) ->
+             let got = Lazy.force snap in
+             if got <> eager then
+               QCheck.Test.fail_reportf "snapshot %d: got %S, want %S" i got eager;
+             if Machine.digest (Machine.restore got) <> eager then
+               QCheck.Test.fail_reportf "snapshot %d does not restore" i)
+           captures;
+         true))
+
+(* Every disk's latest snapshot payload after a durable run with a
+   crash-restart keeps the pinned format (see [Test_store]). *)
+let shard_payload_format_pinned () =
+  let router = Router.create ~shards:2 in
+  let ops = mixed_ops ~router ~clients:6 ~per_client:6 ~tx_every:2 ~hot_keys:3 in
+  let inject (f : Runner.faults) =
+    Dsim.Engine.schedule f.Runner.engine ~delay:400 (fun () ->
+        f.Runner.crash ~shard:0 ~replica:1);
+    Dsim.Engine.schedule f.Runner.engine ~delay:1_000 (fun () ->
+        f.Runner.restart ~shard:0 ~replica:1)
+  in
+  let r =
+    run_cfg ~shards:2
+      ~store:{ Rsm.Runner.default_store_config with snapshot_every = 2 }
+      ~inject ops
+  in
+  drained r;
+  no_violations r;
+  Array.iter
+    (fun g ->
+      let what = Printf.sprintf "shard %d" (Shard.Group.shard g) in
+      check Alcotest.bool (what ^ ": replica 1 of shard 0 restarted") true
+        (Shard.Group.shard g <> 0 || Shard.Group.restarted_list g = [ 1 ]);
+      check Alcotest.int (what ^ ": every disk holds a snapshot") 3
+        (Test_store.check_snapshot_payloads ~what (Shard.Group.disks g)))
+    r.Runner.groups
+
 let suite =
   [
     Alcotest.test_case "cmd codec roundtrip" `Quick codec_roundtrip;
@@ -466,4 +557,7 @@ let suite =
       broken_2pc_caught;
     Alcotest.test_case "2pc: durable under storage faults" `Quick
       durable_under_storage_faults;
+    prop_machine_snapshot_is_immutable;
+    Alcotest.test_case "snapshot payload format pinned" `Quick
+      shard_payload_format_pinned;
   ]

@@ -149,7 +149,7 @@ let snapshot_then_compact () =
   let seqs = List.map (fun s -> append_ok d s) [ "a"; "b"; "c"; "d" ] in
   fsync_ok d;
   let installed = ref false in
-  (match Disk.save_snapshot d ~upto:1 "state-after-b" ~k:(fun () -> installed := true) with
+  (match Disk.save_snapshot d ~upto:1 (lazy "state-after-b") ~k:(fun () -> installed := true) with
   | Ok () -> ()
   | Error `Io_error -> Alcotest.fail "snapshot refused");
   check Alcotest.bool "snapshot installed" true !installed;
@@ -158,7 +158,8 @@ let snapshot_then_compact () =
   (match Disk.latest_snapshot d with
   | Some s ->
       check Alcotest.int "snapshot covers upto" 1 s.Disk.upto;
-      check Alcotest.string "payload kept" "state-after-b" s.Disk.payload
+      check Alcotest.string "payload kept" "state-after-b"
+        (Lazy.force s.Disk.payload)
   | None -> Alcotest.fail "no snapshot installed");
   let st = Disk.stats d in
   check Alcotest.int "snapshot counted" 1 st.Disk.snapshots_taken;
@@ -169,7 +170,7 @@ let snapshot_survives_crash () =
   let _eng, d = disk ~seed:9L () in
   ignore (append_ok d "a" : int);
   fsync_ok d;
-  (match Disk.save_snapshot d ~upto:0 "snap" ~k:(fun () -> ()) with
+  (match Disk.save_snapshot d ~upto:0 (lazy "snap") ~k:(fun () -> ()) with
   | Ok () -> ()
   | Error `Io_error -> Alcotest.fail "snapshot refused");
   Disk.crash d;
@@ -246,7 +247,8 @@ let prop_snapshot_compact_replay =
       (* snapshot covers the first [cut] records *)
       let covered = List.filteri (fun i _ -> i < cut) all in
       (match
-         Disk.save_snapshot d ~upto:(cut - 1) (String.concat ";" covered)
+         Disk.save_snapshot d ~upto:(cut - 1)
+           (lazy (String.concat ";" covered))
            ~k:(fun () -> ())
        with
       | Ok () -> ()
@@ -256,8 +258,8 @@ let prop_snapshot_compact_replay =
       | _ -> () (* cut = 0: nothing to compact *));
       let from_snap =
         match Disk.latest_snapshot d with
-        | Some s when s.Disk.payload <> "" ->
-            String.split_on_char ';' s.Disk.payload
+        | Some s when Lazy.force s.Disk.payload <> "" ->
+            String.split_on_char ';' (Lazy.force s.Disk.payload)
         | _ -> []
       in
       List.equal String.equal all (from_snap @ datas d))
@@ -395,6 +397,48 @@ let report_exposes_disks () =
        (fun d -> Disk.records d <> [] || Disk.latest_snapshot d <> None)
        r.disks)
 
+(* The snapshot payload format, pinned: every disk's latest payload
+   decodes to a strictly ascending, non-empty cid list, and re-encoding
+   the decoded triple reproduces it byte for byte.  Returns how many
+   disks held a snapshot. *)
+let check_snapshot_payloads ~what disks =
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> a < b && ascending rest
+    | _ -> true
+  in
+  Array.fold_left
+    (fun n d ->
+      match Disk.latest_snapshot d with
+      | None -> n
+      | Some s ->
+          let payload = Lazy.force s.Disk.payload in
+          let upto, state, cids = Runner.decode_snapshot payload in
+          check Alcotest.int (what ^ ": covered slot") s.Disk.upto upto;
+          check Alcotest.bool (what ^ ": cids non-empty") true (cids <> []);
+          check Alcotest.bool (what ^ ": cids strictly ascending") true
+            (ascending cids);
+          check Alcotest.string (what ^ ": re-encoding is byte-identical")
+            payload
+            (Lazy.force
+               (Runner.snapshot_payload ~upto ~state:(Lazy.from_val state)
+                  ~cids:(Lazy.from_val cids)));
+          n + 1)
+    0 disks
+
+let rsm_payload_format_pinned () =
+  let ops = Array.init 4 (fun c -> ops_of_n ~client:c 6) in
+  let r =
+    run_store ~n:4 ~seed:5
+      ~crash_schedule:[ (40, 0) ]
+      ~restart_schedule:[ (190, 0) ]
+      ~store:{ Runner.default_store_config with Runner.snapshot_every = 2 }
+      ops
+  in
+  no_violations r;
+  check Alcotest.(list int) "replica 0 crashed and restarted" [ 0 ] r.restarted;
+  check Alcotest.int "every disk holds a snapshot" 4
+    (check_snapshot_payloads ~what:"rsm" r.disks)
+
 (* --- suite -------------------------------------------------------------- *)
 
 let suite =
@@ -435,5 +479,7 @@ let suite =
         Alcotest.test_case "ack-before-fsync caught by audit" `Quick
           full_outage_ack_before_fsync_caught;
         Alcotest.test_case "report exposes disks" `Quick report_exposes_disks;
+        Alcotest.test_case "snapshot payload format pinned" `Quick
+          rsm_payload_format_pinned;
       ];
     ]
