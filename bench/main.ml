@@ -328,84 +328,6 @@ let engine_flat_profile ~tracing ~iters =
   let events = float_of_int (sources * iters) in
   (events /. Float.max wall 1e-9, alloc /. events)
 
-(* Heap-vs-wheel on the workloads where the queue backend matters:
-   many concurrent timers (the wheel's O(1) add/pop vs the heap's
-   O(log n) sifts), a timer-driven Raft cluster, and the heartbeat
-   failure detector. *)
-let flat_timer_wall ~queue ~sources ~iters =
-  let eng = Dsim.Engine.create ~seed:7L ~tracing:false ~queue () in
-  let remaining = Array.make sources iters in
-  let k = ref (-1) in
-  let fire eng src =
-    Dsim.Engine.schedule_kind eng ~owner:(-1)
-      ~delay:(1 + (src * 7 land 63))
-      ~kind:!k src
-  in
-  k :=
-    Dsim.Engine.register_kind eng (fun src ->
-        let r = remaining.(src) - 1 in
-        remaining.(src) <- r;
-        if r > 0 then fire eng src);
-  for src = 0 to sources - 1 do
-    fire eng src
-  done;
-  let t0 = Unix.gettimeofday () in
-  ignore (Dsim.Engine.run eng : Dsim.Engine.outcome);
-  (Unix.gettimeofday () -. t0, sources * iters)
-
-let raft_queue_wall ~queue ~rounds =
-  let t0 = Unix.gettimeofday () in
-  for seed = 1 to rounds do
-    let cl = Raft.Cluster.create ~seed:(Int64.of_int seed) ~queue ~n:5 () in
-    let cons =
-      Raft.Consensus_raft.create ~cluster:cl
-        ~inputs:(Array.init 5 (fun i -> 100 + i))
-    in
-    Raft.Cluster.start cl;
-    ignore (Raft.Consensus_raft.run_until_all_decided ~timeout:300_000 cons : bool)
-  done;
-  Unix.gettimeofday () -. t0
-
-let detect_queue_wall ~queue ~rounds =
-  let t0 = Unix.gettimeofday () in
-  for seed = 1 to rounds do
-    ignore
-      (Detect.Runner.run ~n:8 ~seed:(Int64.of_int seed) ~quiet:true ~queue ()
-        : Detect.Runner.report)
-  done;
-  Unix.gettimeofday () -. t0
-
-let queue_compare_rows () =
-  let backends = [ ("heap", Dsim.Equeue.Heap); ("wheel", Dsim.Equeue.Wheel) ] in
-  let row ~workload ~backend ~wall ~events =
-    Json.Obj
-      [
-        ("workload", Json.String workload);
-        ("backend", Json.String backend);
-        ("wall_seconds", Json.Float wall);
-        ( "events_per_sec",
-          match events with
-          | Some e -> Json.Float (float_of_int e /. Float.max wall 1e-9)
-          | None -> Json.Null );
-      ]
-  in
-  List.concat_map
-    (fun (name, queue) ->
-      (* 4096 concurrent timers: enough in-flight events that the
-         backends' asymptotics (heap O(log n) sift vs wheel O(1) slot
-         append) actually separate. *)
-      let tw, tev = flat_timer_wall ~queue ~sources:4_096 ~iters:600 in
-      [
-        row ~workload:"flat-timers.4k" ~backend:name ~wall:tw ~events:(Some tev);
-        row ~workload:"raft-smoke.n5" ~backend:name
-          ~wall:(raft_queue_wall ~queue ~rounds:40)
-          ~events:None;
-        row ~workload:"detect.n8" ~backend:name
-          ~wall:(detect_queue_wall ~queue ~rounds:40)
-          ~events:None;
-      ])
-    backends
-
 let campaign_scaling ~plans jobs_list =
   let cfg =
     {
@@ -652,7 +574,7 @@ let bench_core_json () =
   in
   Json.Obj
     [
-      ("schema", Json.String "oocon-bench-core/6");
+      ("schema", Json.String "oocon-bench-core/7");
       ("cores", Json.Int cores);
       ( "engine",
         Json.Obj
@@ -662,7 +584,6 @@ let bench_core_json () =
             ("fiber_traced", fiber_traced);
             ("fiber_quiet", fiber_quiet);
           ] );
-      ("queue_compare", Json.List (queue_compare_rows ()));
       ("campaign", Json.List campaign);
       ("rsm", Json.List rsm);
       ("obj", Json.List (obj_rows ()));
@@ -693,7 +614,7 @@ let validate_bench_json file =
   | v ->
       let open Json in
       (match Option.bind (member "schema" v) to_string_opt with
-      | Some "oocon-bench-core/6" -> ()
+      | Some "oocon-bench-core/7" -> ()
       | Some other -> err "unexpected schema %S" other
       | None -> err "missing schema");
       (match Option.bind (member "cores" v) to_int with
@@ -730,22 +651,6 @@ let validate_bench_json file =
                 t_prof t
           | _ -> ())
         [ ("quiet", "traced"); ("fiber_quiet", "fiber_traced") ];
-      (match Option.bind (member "queue_compare" v) to_list with
-      | Some (_ :: _ as rows) ->
-          List.iteri
-            (fun i row ->
-              (match Option.bind (member "workload" row) to_string_opt with
-              | Some _ -> ()
-              | None -> err "queue_compare[%d]: missing workload" i);
-              (match Option.bind (member "backend" row) to_string_opt with
-              | Some ("heap" | "wheel") -> ()
-              | _ -> err "queue_compare[%d]: backend must be heap|wheel" i);
-              match Option.bind (member "wall_seconds" row) to_float with
-              | Some w when w > 0. -> ()
-              | _ -> err "queue_compare[%d]: bad wall_seconds" i)
-            rows
-      | Some [] -> err "queue_compare is empty"
-      | None -> err "missing queue_compare");
       (match Option.bind (member "campaign" v) to_list with
       | Some (_ :: _ as cells) ->
           List.iteri
@@ -907,7 +812,7 @@ let validate_bench_json file =
       | None -> ()));
   match List.rev !errors with
   | [] ->
-      Format.printf "%s: valid oocon-bench-core/6 baseline@." file;
+      Format.printf "%s: valid oocon-bench-core/7 baseline@." file;
       0
   | errs ->
       List.iter (Format.eprintf "%s: %s@." file) errs;

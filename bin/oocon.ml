@@ -32,6 +32,25 @@ let jobs_arg =
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"JOBS" ~doc)
 
+(* Campaign and exploration modes (nemesis, detect, shard, obj and
+   mcheck) write their job-count-independent report here. *)
+let report_out_arg =
+  let doc =
+    "Campaign or exploration mode: write the report, minus timing figures, \
+     to this file — byte-identical across job counts, so two runs can be \
+     diffed."
+  in
+  Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
+
+(* The mutant gate of shard, obj and mcheck; detect defines its own,
+   which inverts only the liveness exit. *)
+let expect_violation_arg =
+  let doc =
+    "Invert the exit code: succeed only when a violation IS found (mutant \
+     checks in CI)."
+  in
+  Arg.(value & flag & info [ "expect-violation" ] ~doc)
+
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
 
 let split_inputs n = Array.init n (fun i -> i mod 2 = 0)
@@ -588,13 +607,6 @@ let nemesis_cmd =
     in
     Arg.(value & flag & info [ "storage-faults" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the campaign report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
   let run n seed backends plans clients commands batch max_actions max_down
       horizon benign storage plan_file dump shrink quiet jobs report_out
       show_trace =
@@ -824,13 +836,6 @@ let detect_cmd =
     let doc = "No per-run progress dots in --campaign mode." in
     Arg.(value & flag & info [ "quiet" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the campaign report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
   let run n seed period timeout cap mutant expect_violation campaign plans
       horizon plan_file quiet jobs report_out show_trace =
     let params =
@@ -1048,13 +1053,6 @@ let shard_cmd =
     in
     Arg.(value & flag & info [ "broken-2pc" ] ~doc)
   in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let campaign_arg =
     let doc =
       "Run a seed-sweep fault campaign (one generated plan per shard per \
@@ -1069,13 +1067,6 @@ let shard_cmd =
   let max_events_arg =
     let doc = "Engine event budget." in
     Arg.(value & opt int 20_000_000 & info [ "max-events" ] ~docv:"E" ~doc)
-  in
-  let report_out_arg =
-    let doc =
-      "Campaign mode: write the report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
   (* The default nemesis: a staggered minority partition inside every
      shard (plus, with --storage-faults, a torn-write and an io-error
@@ -1324,13 +1315,6 @@ let obj_cmd =
       & opt ~vopt:(Some 1) (some int) None
       & info [ "broken-obj" ] ~docv:"K" ~doc)
   in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
-  in
   let campaign_arg =
     let doc =
       "Run a nemesis campaign (objects x backends x fault plans, every run \
@@ -1347,13 +1331,6 @@ let obj_cmd =
       "Campaign mode: WAL-backed replicas, plans draw storage faults."
     in
     Arg.(value & flag & info [ "storage-faults" ] ~doc)
-  in
-  let report_out_arg =
-    let doc =
-      "Campaign mode: write the report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
   in
   let run n seed backends object_name clients commands batch crashes
       restart_after drop_nth expect_violation campaign plans storage jobs
@@ -1557,13 +1534,6 @@ let mcheck_cmd =
     let doc = "Stop each partition at its first violating execution." in
     Arg.(value & flag & info [ "stop-at-first" ] ~doc)
   in
-  let report_out_arg =
-    let doc =
-      "Write the exploration report, minus timing figures, to this file — \
-       byte-identical across job counts, so two runs can be diffed."
-    in
-    Arg.(value & opt (some string) None & info [ "report-out" ] ~docv:"FILE" ~doc)
-  in
   let dump_ce_arg =
     let doc =
       "Minimize the first counterexample and write it as a replay file."
@@ -1576,13 +1546,6 @@ let mcheck_cmd =
        (the model and bounds come from the file)."
     in
     Arg.(value & opt (some string) None & info [ "replay" ] ~docv:"FILE" ~doc)
-  in
-  let expect_violation_arg =
-    let doc =
-      "Invert the exit code: succeed only when a violation IS found (mutant \
-       checks in CI)."
-    in
-    Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
   let list_models_arg =
     let doc = "List the explorable models and exit." in

@@ -65,7 +65,7 @@ let ev_owner ev = ((ev lsr kind_bits) land owner_mask) - 1
 
 type t = {
   mutable now : int;
-  events : Equeue.t;
+  events : Heap.t;
   tr : Trace.t;
   mutable tracing : bool;
   engine_rng : Rng.t;
@@ -73,7 +73,6 @@ type t = {
   mutable next_pid : int;
   bsent : bnode;  (* sentinel of the blocked list, newest first *)
   mutable oracle : oracle option;
-  mutable batching : bool;
   (* Event lineage, tracked only while an oracle is installed (the
      DPOR analysis reads it through [c_creators]; the quiet hot path
      pays one predictable branch in [schedule_kind]). *)
@@ -87,11 +86,6 @@ type t = {
   mutable cnext : int array;
   mutable cfree : int;
   mutable ctop : int;
-  (* same-tick batch buffer; [buf_pos < buf_len] only while a drained
-     tick is mid-execution (an [Event_limit] can stop inside one) *)
-  ebuf : int array ref;
-  mutable buf_pos : int;
-  mutable buf_len : int;
 }
 
 type ctx = { engine : t; pid : pid; rng : Rng.t }
@@ -204,12 +198,11 @@ let register_kind t handler =
   t.kind_count <- k + 1;
   k
 
-let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(queue = Equeue.Heap)
-    ?(batching = true) () =
+let create ?(seed = 1L) ?trace_capacity ?(tracing = true) () =
   let t =
     {
       now = 0;
-      events = Equeue.create queue;
+      events = Heap.create ();
       tr = Trace.create ?capacity:trace_capacity ();
       tracing;
       engine_rng = Rng.create seed;
@@ -217,7 +210,6 @@ let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(queue = Equeue.Heap)
       next_pid = 0;
       bsent = make_sentinel ();
       oracle = None;
-      batching;
       lineage = false;
       creators = [||];
       cur_seq = -1;
@@ -227,9 +219,6 @@ let create ?(seed = 1L) ?trace_capacity ?(tracing = true) ?(queue = Equeue.Heap)
       cnext = [||];
       cfree = -1;
       ctop = 0;
-      ebuf = ref [||];
-      buf_pos = 0;
-      buf_len = 0;
     }
   in
   let kc = register_kind t (fun slot -> run_closure t slot) in
@@ -242,9 +231,6 @@ let rng t = t.engine_rng
 let trace t = t.tr
 let tracing t = t.tracing
 let set_tracing t on = t.tracing <- on
-let batching t = t.batching
-let set_batching t on = t.batching <- on
-let queue_backend t = Equeue.backend t.events
 
 let emit t ?pid ~tag detail =
   if t.tracing then Trace.emit t.tr ~time:t.now ?pid ~tag detail
@@ -252,10 +238,10 @@ let emit t ?pid ~tag detail =
 let emitk t ?pid ~tag detail =
   if t.tracing then Trace.emit t.tr ~time:t.now ?pid ~tag (detail ())
 
-(* Record who scheduled the event the last [Equeue.add] enqueued.  Seqs
+(* Record who scheduled the event the last [Heap.add] enqueued.  Seqs
    are dense from 0, so a flat array indexed by seq suffices. *)
 let note_created t =
-  let s = Equeue.last_seq t.events in
+  let s = Heap.last_seq t.events in
   let cap = Array.length t.creators in
   if s >= cap then begin
     let ncap = max 64 (max (s + 1) (2 * cap)) in
@@ -267,14 +253,14 @@ let note_created t =
 
 let schedule_kind t ~owner ~delay ~kind arg =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
-  Equeue.add t.events ~key:(t.now + delay) (pack ~kind ~owner ~arg);
+  Heap.add t.events ~key:(t.now + delay) (pack ~kind ~owner ~arg);
   if t.lineage then note_created t
 
 let schedule t ?owner ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule: negative delay";
   let ow = match owner with None -> -1 | Some p -> p in
   let slot = alloc_closure t f in
-  Equeue.add t.events ~key:(t.now + delay) (pack ~kind:k_closure ~owner:ow ~arg:slot);
+  Heap.add t.events ~key:(t.now + delay) (pack ~kind:k_closure ~owner:ow ~arg:slot);
   if t.lineage then note_created t
 
 let set_oracle t o =
@@ -441,15 +427,15 @@ let creator_of t s =
   if s >= 0 && s < Array.length t.creators then t.creators.(s) else -1
 
 let pop_next_oracle t o =
-  match Equeue.min_key_count t.events with
+  match Heap.min_key_count t.events with
   | 0 -> None
   | 1 ->
       (* No choice to make, but the event still becomes the creator of
          whatever its execution schedules. *)
-      (match Equeue.min_key_seqs t.events with
+      (match Heap.min_key_seqs t.events with
       | [ s ] -> t.cur_seq <- s
       | _ -> ());
-      Equeue.pop t.events
+      Heap.pop t.events
   | arity ->
       let owners =
         Array.of_list
@@ -457,9 +443,9 @@ let pop_next_oracle t o =
              (fun ev ->
                let ow = ev_owner ev in
                if ow < 0 then None else Some ow)
-             (Equeue.min_key_values t.events))
+             (Heap.min_key_values t.events))
       in
-      let seqs = Array.of_list (Equeue.min_key_seqs t.events) in
+      let seqs = Array.of_list (Heap.min_key_seqs t.events) in
       let creators = Array.map (fun s -> creator_of t s) seqs in
       let idx =
         o.choose
@@ -467,13 +453,13 @@ let pop_next_oracle t o =
             c_domain = "sched";
             c_arity = arity;
             c_owners = owners;
-            c_time = Equeue.peek_key_fast t.events;
+            c_time = Heap.peek_key_fast t.events;
             c_seqs = seqs;
             c_creators = creators;
           }
       in
       t.cur_seq <- seqs.(idx);
-      Equeue.pop_min_nth t.events idx
+      Heap.pop_min_nth t.events idx
 
 let run ?until ?max_events t =
   let limit = match until with Some l -> l | None -> max_int in
@@ -488,30 +474,20 @@ let run ?until ?max_events t =
     stop := true
   in
   drain_ready t;
-  (* First finish any same-tick batch a previous [Event_limit] stopped
-     inside; [t.now] is already the batch's tick. *)
-  while (not !stop) && t.buf_pos < t.buf_len do
-    exec t (!(t.ebuf)).(t.buf_pos);
-    t.buf_pos <- t.buf_pos + 1;
-    drain_ready t;
-    incr executed;
-    if !executed >= budget then finish_with Event_limit
-  done;
-  (* Both the oracle and the queue backend are fixed before [run] (all
-     [set_oracle] callers install theirs during setup), so both matches
-     hoist out of the per-event loop — the backend dispatch in
-     particular is measurable at tens of millions of events/sec. *)
+  (* The oracle is fixed before [run] (all [set_oracle] callers install
+     theirs during setup), so the match hoists out of the per-event
+     loop. *)
   (match t.oracle with
   | Some o ->
-      (* Oracle mode: strictly per-event granularity, and the limit
-         putback happens after the pop — the oracle's choice is
-         consumed either way, exactly like the classic engine. *)
+      (* Oracle mode: the limit putback happens after the pop — the
+         oracle's choice is consumed either way, exactly like the
+         classic engine. *)
       while not !stop do
         match pop_next_oracle t o with
         | None -> finish_with (finish t)
         | Some (time, ev) ->
             if time > limit then begin
-              Equeue.add t.events ~key:time ev;
+              Heap.add t.events ~key:time ev;
               t.now <- limit;
               finish_with Time_limit
             end
@@ -523,91 +499,30 @@ let run ?until ?max_events t =
               if !executed >= budget then finish_with Event_limit
             end
       done
-  | None -> (
-      (* The two branches below are textually identical modulo the
-         queue module; keep them in sync. *)
-      match t.events with
-      | Equeue.H h ->
-          while not !stop do
-            if Heap.is_empty h then finish_with (finish t)
-            else begin
-              let time = Heap.peek_key_fast h in
-              if time > limit then begin
-                (* Pop-and-re-add, preserving the classic engine's
-                   tiebreak bump for events deferred past the limit. *)
-                let ev = Heap.pop_value h in
-                Heap.add h ~key:time ev;
-                t.now <- limit;
-                finish_with Time_limit
-              end
-              else begin
-                t.now <- time;
-                exec t (Heap.pop_value h);
-                drain_ready t;
-                incr executed;
-                if !executed >= budget then finish_with Event_limit
-                else if
-                  t.batching
-                  && (not (Heap.is_empty h))
-                  && Heap.peek_key_fast h = time
-                then begin
-                  (* Drain the rest of the tick in one queue operation.
-                     The buffer is the tie set in seq order, and anything
-                     the drained events schedule gets a later global seq,
-                     so the execution order is exactly what per-event
-                     pops produce. *)
-                  let n = Heap.pop_run h ~buf:t.ebuf ~dummy:0 in
-                  t.buf_pos <- 0;
-                  t.buf_len <- n;
-                  let buf = !(t.ebuf) in
-                  while (not !stop) && t.buf_pos < t.buf_len do
-                    exec t buf.(t.buf_pos);
-                    t.buf_pos <- t.buf_pos + 1;
-                    drain_ready t;
-                    incr executed;
-                    if !executed >= budget then finish_with Event_limit
-                  done
-                end
-              end
-            end
-          done
-      | Equeue.W w ->
-          while not !stop do
-            if Wheel.is_empty w then finish_with (finish t)
-            else begin
-              let time = Wheel.peek_key_fast w in
-              if time > limit then begin
-                let ev = Wheel.pop_value w in
-                Wheel.add w ~key:time ev;
-                t.now <- limit;
-                finish_with Time_limit
-              end
-              else begin
-                t.now <- time;
-                exec t (Wheel.pop_value w);
-                drain_ready t;
-                incr executed;
-                if !executed >= budget then finish_with Event_limit
-                else if
-                  t.batching
-                  && (not (Wheel.is_empty w))
-                  && Wheel.peek_key_fast w = time
-                then begin
-                  let n = Wheel.pop_run w ~buf:t.ebuf ~dummy:0 in
-                  t.buf_pos <- 0;
-                  t.buf_len <- n;
-                  let buf = !(t.ebuf) in
-                  while (not !stop) && t.buf_pos < t.buf_len do
-                    exec t buf.(t.buf_pos);
-                    t.buf_pos <- t.buf_pos + 1;
-                    drain_ready t;
-                    incr executed;
-                    if !executed >= budget then finish_with Event_limit
-                  done
-                end
-              end
-            end
-          done));
+  | None ->
+      (* The quiet hot loop: no option, tuple or closure per event. *)
+      let h = t.events in
+      while not !stop do
+        if Heap.is_empty h then finish_with (finish t)
+        else begin
+          let time = Heap.peek_key_fast h in
+          if time > limit then begin
+            (* Pop-and-re-add, preserving the classic engine's tiebreak
+               bump for events deferred past the limit. *)
+            let ev = Heap.pop_value h in
+            Heap.add h ~key:time ev;
+            t.now <- limit;
+            finish_with Time_limit
+          end
+          else begin
+            t.now <- time;
+            exec t (Heap.pop_value h);
+            drain_ready t;
+            incr executed;
+            if !executed >= budget then finish_with Event_limit
+          end
+        end
+      done);
   !result
 
 let run_quiet ?until ?max_events t =

@@ -34,37 +34,12 @@ type outcome =
   | Time_limit  (** virtual [until] reached *)
   | Event_limit  (** [max_events] executed *)
 
-val create :
-  ?seed:int64 ->
-  ?trace_capacity:int ->
-  ?tracing:bool ->
-  ?queue:Equeue.backend ->
-  ?batching:bool ->
-  unit ->
-  t
+val create : ?seed:int64 -> ?trace_capacity:int -> ?tracing:bool -> unit -> t
 (** A fresh engine at time 0.  Default seed is 1.  [tracing:false]
     creates a {e quiet} engine: every {!emit}/{!emitk} is a no-op, so
     the message hot path allocates no trace strings at all.  Tracing
     only affects what the trace retains — never scheduling, RNG streams
-    or outcomes — so a quiet run is bit-identical to a traced one.
-
-    [queue] picks the event-queue backend (default [Equeue.Heap]; the
-    timing wheel wins on heavy-timer workloads).  [batching] (default
-    on) lets {!run} drain a whole same-tick tie set in one queue
-    operation when no oracle is installed.  Neither knob changes
-    behaviour: seeded runs are byte-identical across all four
-    combinations, and an installed oracle always sees per-event
-    granularity regardless of [batching]. *)
-
-val queue_backend : t -> Equeue.backend
-(** Which event-queue backend this engine was created with. *)
-
-val batching : t -> bool
-(** Whether same-tick batch draining is enabled (see {!create}). *)
-
-val set_batching : t -> bool -> unit
-(** Flip batch draining.  Flipping it mid-[run] while a drained tick is
-    still executing is not supported; flip between runs. *)
+    or outcomes — so a quiet run is bit-identical to a traced one. *)
 
 val now : t -> int
 (** Current virtual time. *)

@@ -7,7 +7,7 @@
    is a strict total order (seqs are unique) the hole walk makes exactly
    the comparisons the classic swap walk makes and lands every element
    in the same slot — the array layout, and therefore the
-   [fold_min_indices] tie enumeration the choice oracle observes, is
+   [fold_tied] tie enumeration the choice oracle observes, is
    bit-identical to the old boxed implementation. *)
 
 type t = {
@@ -117,7 +117,7 @@ let peek_key t = if t.size = 0 then None else Some t.keys.(0)
    minimum has only minimum-key ancestors.  Walking that subtree (pruning
    at the first strictly larger key) visits exactly the tied entries, in
    O(ties) rather than O(size). *)
-let fold_min_indices t init f =
+let fold_tied t init f =
   if t.size = 0 then init
   else begin
     let min_key = t.keys.(0) in
@@ -131,10 +131,10 @@ let fold_min_indices t init f =
     go init 0
   end
 
-let min_key_count t = fold_min_indices t 0 (fun n _ -> n + 1)
+let min_key_count t = fold_tied t 0 (fun n _ -> n + 1)
 
 let min_entries_by_seq t =
-  let idxs = fold_min_indices t [] (fun acc i -> i :: acc) in
+  let idxs = fold_tied t [] (fun acc i -> i :: acc) in
   List.sort (fun a b -> compare t.seqs.(a) t.seqs.(b)) (List.rev idxs)
 
 let min_key_values t =
@@ -198,26 +198,6 @@ let pop_min_nth t n =
     match List.nth_opt by_seq n with
     | None -> invalid_arg "Heap.pop_min_nth: index out of tied range"
     | Some i -> Some (remove_at t i)
-  end
-
-(* Pop every entry tied at the minimum key into [buf] (growing it as
-   needed), in seq order — exactly the order repeated [pop]s would
-   surface them.  Returns the count. *)
-let pop_run t ~buf ~dummy =
-  if t.size = 0 then 0
-  else begin
-    let key = t.keys.(0) in
-    let n = ref 0 in
-    while t.size > 0 && t.keys.(0) = key do
-      if !n >= Array.length !buf then begin
-        let bigger = Array.make (max 16 (2 * Array.length !buf)) dummy in
-        Array.blit !buf 0 bigger 0 !n;
-        buf := bigger
-      end;
-      !buf.(!n) <- pop_value t;
-      incr n
-    done;
-    !n
   end
 
 (* Keep the backing arrays: a cleared-and-reused heap (campaign runs,

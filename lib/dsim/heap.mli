@@ -8,8 +8,9 @@
     The storage is struct-of-arrays (parallel [keys]/[seqs]/[vals]
     arrays); [add] and [pop_value] allocate nothing once the arrays are
     warm.  The sift order is bit-identical to the classic boxed-entry
-    implementation, so the tie sets {!fold_min_indices} enumerates (and
-    the choice oracle observes) are unchanged. *)
+    implementation, so the tie sets the choice oracle observes (through
+    {!min_key_values}, {!min_key_seqs} and {!pop_min_nth}) are
+    unchanged. *)
 
 type t
 
@@ -40,13 +41,6 @@ val peek_key_fast : t -> int
 (** Unchecked {!peek_key}: the smallest key, assuming the heap is
     non-empty.  Undefined (may raise [Invalid_argument]) when empty. *)
 
-val pop_run : t -> buf:int array ref -> dummy:int -> int
-(** Pop {e every} element tied at the minimum key into [buf] (grown with
-    [dummy] padding as needed), in insertion (seq) order — exactly what
-    repeated {!pop}s would produce.  Returns how many were popped
-    (0 when empty).  This is the same-tick batching primitive: one call
-    drains a whole tick. *)
-
 val min_key_count : t -> int
 (** How many queued elements are tied for the smallest key (0 when
     empty).  O(ties), not O(size). *)
@@ -71,11 +65,6 @@ val pop_min_nth : t -> int -> (int * int) option
     order, 0-based) among those tied for the smallest key.
     [pop_min_nth t 0] is {!pop}.  [None] when the heap is empty.
     @raise Invalid_argument when [i] is outside the tied range. *)
-
-val fold_min_indices : t -> 'b -> ('b -> int -> 'b) -> 'b
-(** Fold over the array indices of the elements tied for the smallest
-    key, in heap-array order (not seq order).  Exposed for the
-    equivalence tests; ordinary callers want {!min_key_values}. *)
 
 val clear : t -> unit
 (** Drop all elements and reset the tiebreak sequence, keeping the

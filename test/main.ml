@@ -5,7 +5,6 @@ let () =
     [
       ("rng", Test_rng.suite);
       ("heap", Test_heap.suite);
-      ("wheel", Test_wheel.suite);
       ("vec", Test_vec.suite);
       ("trace", Test_trace.suite);
       ("engine", Test_engine.suite);

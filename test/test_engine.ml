@@ -346,7 +346,7 @@ let prop_determinism =
          in
          String.equal (run_once ()) (run_once ())))
 
-(* --- flat events, queue backends, same-tick batching ------------------- *)
+(* --- flat events, the two run loops, the quiet path --------------------- *)
 
 let flat_kind_events () =
   (* register_kind/schedule_kind must interleave with closure-based
@@ -377,8 +377,9 @@ let flat_kind_events () =
 
 (* A seeded workload with deliberate same-tick ties: several processes
    sleeping tiny random amounts plus flat-kind events at delay 0. *)
-let mixed_workload ~queue ~batching ~seed =
-  let e = Engine.create ~seed ~queue ~batching () in
+let mixed_workload ?oracle ~seed () =
+  let e = Engine.create ~seed () in
+  Engine.set_oracle e oracle;
   let log = Buffer.create 256 in
   let k =
     Engine.register_kind e (fun arg ->
@@ -400,31 +401,23 @@ let mixed_workload ~queue ~batching ~seed =
 
 let run_testable = Alcotest.pair outcome_testable Alcotest.string
 
-let batching_toggle_equivalence () =
-  (* Batch draining is a pure mechanism: flipping it must not move a
-     single event. *)
-  let on = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:true ~seed:5L in
-  let off = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:false ~seed:5L in
-  check run_testable "batching on = batching off" on off
+let oracle_loop_matches_fast_loop () =
+  (* [run] has two loops: the allocation-free one for oracle-free runs
+     and the per-choice one under an oracle.  An oracle that always
+     picks the first tied event reproduces FIFO-within-tick, so both
+     loops must execute the same schedule.  The workload sends no
+     messages, so only "sched" choices occur. *)
+  let first = { Engine.choose = (fun _ -> 0) } in
+  check run_testable "fast loop = oracle loop picking 0"
+    (mixed_workload ~seed:5L ())
+    (mixed_workload ~oracle:first ~seed:5L ())
 
-let wheel_backend_equivalence () =
-  (* Same seeded program, heap vs wheel event queue: identical trace. *)
-  let heap = mixed_workload ~queue:Dsim.Equeue.Heap ~batching:true ~seed:5L in
-  let wheel = mixed_workload ~queue:Dsim.Equeue.Wheel ~batching:true ~seed:5L in
-  check run_testable "heap = wheel" heap wheel;
-  let wheel_nb =
-    mixed_workload ~queue:Dsim.Equeue.Wheel ~batching:false ~seed:5L
-  in
-  check run_testable "heap = wheel, batching off" heap wheel_nb
-
-let oracle_bypasses_batching () =
-  (* With an oracle installed the engine must fall back to per-event
-     granularity even though batching is on: the first "sched" choice
-     sees the whole tie set (arity 3, owners decoded from the packed
-     representation), and picking the last alternative each time
-     reverses the firing order. *)
-  let e = Engine.create ~batching:true () in
-  check Alcotest.bool "batching enabled" true (Engine.batching e);
+let oracle_sees_whole_tie_sets () =
+  (* Under an oracle every tick with more than one enabled event is a
+     choice: the first "sched" choice sees the whole tie set (arity 3,
+     owners decoded from the packed representation), and picking the
+     last alternative each time reverses the firing order. *)
+  let e = Engine.create () in
   let fired = ref [] in
   let k = Engine.register_kind e (fun arg -> fired := arg :: !fired) in
   Engine.schedule_kind e ~owner:4 ~delay:3 ~kind:k 0;
@@ -453,6 +446,43 @@ let oracle_bypasses_batching () =
     choices;
   check (Alcotest.list Alcotest.int) "oracle-chosen order (last first)"
     [ 2; 1; 0 ] (List.rev !fired)
+
+let quiet_flat_path_allocates_nothing () =
+  (* The engine's quiet path — registered-kind events, tracing off, no
+     oracle — allocates nothing per event once the heap's arrays are
+     warm.  A warm-up pass grows them; the measured pass then runs
+     160,000 events and may allocate only [run]'s constant set-up. *)
+  let e = Engine.create ~tracing:false () in
+  let sources = 8 in
+  let remaining = Array.make sources 0 in
+  let k = ref (-1) in
+  k :=
+    Engine.register_kind e (fun src ->
+        let r = remaining.(src) - 1 in
+        remaining.(src) <- r;
+        if r > 0 then
+          Engine.schedule_kind e ~owner:(-1) ~delay:(1 + (src land 3)) ~kind:!k
+            src);
+  let pass iters =
+    Array.fill remaining 0 sources iters;
+    for src = 0 to sources - 1 do
+      Engine.schedule_kind e ~owner:(-1) ~delay:1 ~kind:!k src
+    done;
+    Engine.run e
+  in
+  check outcome_testable "warm-up quiescent" Engine.Quiescent (pass 1_000);
+  let iters = 20_000 in
+  let w0 = Gc.minor_words () in
+  let o = pass iters in
+  let words = Gc.minor_words () -. w0 in
+  check outcome_testable "quiescent" Engine.Quiescent o;
+  let per_event =
+    words *. float_of_int (Sys.word_size / 8)
+    /. float_of_int (sources * iters)
+  in
+  if per_event >= 1.0 then
+    Alcotest.failf "quiet flat path allocates %.2f B/event (bound 1.0)"
+      per_event
 
 let suite =
   [
@@ -486,10 +516,10 @@ let suite =
     Alcotest.test_case "quiet matches traced schedule" `Quick
       quiet_matches_traced_schedule;
     Alcotest.test_case "flat kind events" `Quick flat_kind_events;
-    Alcotest.test_case "batching toggle equivalence" `Quick
-      batching_toggle_equivalence;
-    Alcotest.test_case "wheel backend equivalence" `Quick
-      wheel_backend_equivalence;
-    Alcotest.test_case "oracle bypasses batching" `Quick
-      oracle_bypasses_batching;
+    Alcotest.test_case "oracle loop matches fast loop" `Quick
+      oracle_loop_matches_fast_loop;
+    Alcotest.test_case "oracle sees whole tie sets" `Quick
+      oracle_sees_whole_tie_sets;
+    Alcotest.test_case "quiet flat path allocates nothing" `Quick
+      quiet_flat_path_allocates_nothing;
   ]

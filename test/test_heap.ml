@@ -122,6 +122,108 @@ let prop_heap_length =
       done;
       !ok)
 
+(* --- Heap against a sorted (key, seq) list model ------------------------ *)
+
+(* One random op per generated item.  Keys come from a small range so
+   tie sets are common, and adds may land below the current minimum:
+   the heap, unlike the engine, does not need monotone keys.  A [Nth]
+   index runs one past either end of the tied range so the
+   out-of-range rejection is exercised too. *)
+type heap_op =
+  | Add of int * int
+  | Pop
+  | Pop_value
+  | Peek
+  | Ties
+  | Nth of int
+  | Clear
+
+let gen_heap_ops =
+  QCheck.Gen.(
+    list_size (int_range 1 150)
+      (int_range 0 99 >>= fun sel ->
+       if sel < 50 then
+         map2 (fun k v -> Add (k, v)) (int_range 0 6) small_nat
+       else if sel < 62 then return Pop
+       else if sel < 72 then return Pop_value
+       else if sel < 78 then return Peek
+       else if sel < 88 then return Ties
+       else if sel < 97 then map (fun i -> Nth i) (int_range (-1) 4)
+       else return Clear))
+
+let arb_heap_ops =
+  QCheck.make
+    ~print:(fun l -> Printf.sprintf "<%d ops>" (List.length l))
+    gen_heap_ops
+
+(* The model: (key, seq, value) triples sorted by (key, seq), plus the
+   next seq to assign.  The tied range is the model's prefix sharing
+   the head's key. *)
+let model_ties m =
+  match m with
+  | [] -> []
+  | (k, _, _) :: _ -> List.filter (fun (k', _, _) -> k' = k) m
+
+let prop_heap_matches_model =
+  QCheck.Test.make ~name:"heap agrees with a sorted (key, seq) list model"
+    ~count:500 arb_heap_ops (fun ops ->
+      let h = Dsim.Heap.create () in
+      let m = ref [] and next_seq = ref 0 in
+      let ok = ref true in
+      let agree a b = if a <> b then ok := false in
+      let remove_nth n =
+        let tie = List.nth (model_ties !m) n in
+        m := List.filter (fun e -> e != tie) !m;
+        let k, _, v = tie in
+        (k, v)
+      in
+      List.iter
+        (fun op ->
+          match op with
+          | Add (k, v) ->
+              Dsim.Heap.add h ~key:k v;
+              m := List.merge compare !m [ (k, !next_seq, v) ];
+              agree (Dsim.Heap.last_seq h) !next_seq;
+              incr next_seq
+          | Pop ->
+              agree (Dsim.Heap.pop h)
+                (if !m = [] then None else Some (remove_nth 0))
+          | Pop_value ->
+              if !m <> [] then begin
+                agree (Dsim.Heap.peek_key_fast h)
+                  (let k, _, _ = List.hd !m in
+                   k);
+                agree (Dsim.Heap.pop_value h) (snd (remove_nth 0))
+              end
+          | Peek ->
+              agree (Dsim.Heap.peek_key h)
+                (match !m with [] -> None | (k, _, _) :: _ -> Some k)
+          | Ties ->
+              let ties = model_ties !m in
+              agree (Dsim.Heap.min_key_count h) (List.length ties);
+              agree (Dsim.Heap.min_key_values h)
+                (List.map (fun (_, _, v) -> v) ties);
+              agree (Dsim.Heap.min_key_seqs h)
+                (List.map (fun (_, s, _) -> s) ties)
+          | Nth i ->
+              let count = List.length (model_ties !m) in
+              if count = 0 then agree (Dsim.Heap.pop_min_nth h i) None
+              else if i < 0 || i >= count then begin
+                match Dsim.Heap.pop_min_nth h i with
+                | _ -> ok := false
+                | exception Invalid_argument _ -> ()
+              end
+              else agree (Dsim.Heap.pop_min_nth h i) (Some (remove_nth i))
+          | Clear ->
+              Dsim.Heap.clear h;
+              m := [];
+              next_seq := 0;
+              agree (Dsim.Heap.last_seq h) (-1))
+        ops;
+      agree (Dsim.Heap.length h) (List.length !m);
+      agree (pop_all h) (List.map (fun (k, _, v) -> (k, v)) !m);
+      !ok)
+
 let suite =
   [
     Alcotest.test_case "empty heap" `Quick empty_heap;
@@ -134,4 +236,5 @@ let suite =
     qtest prop_heap_sorts;
     qtest prop_heap_stable_sort;
     qtest prop_heap_length;
+    qtest prop_heap_matches_model;
   ]

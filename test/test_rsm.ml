@@ -552,43 +552,6 @@ let prop_total_order =
       r.violations = [] && r.completeness = [] && r.digests_agree
       && r.acked = 6)
 
-(* --- runner: queue backend and same-tick batching are pure mechanism --- *)
-
-(* The engine's raw-speed knobs — event-queue backend and same-tick batch
-   draining — must be invisible at the protocol level: a seeded run gives
-   a byte-identical structured trace and the same checker verdicts across
-   all four combinations. *)
-let queue_and_batching_invariance () =
-  let run_with ~label ~queue ~batching =
-    let ops = Array.init 3 (fun c -> ops_of_n ~client:c 4) in
-    let r =
-      Runner.run kv_app
-        {
-          (Runner.default_config ~n:4 ~ops) with
-          seed = 11L;
-          queue;
-          batching;
-        }
-    in
-    no_violations ~msg:label r;
-    check Alcotest.int (label ^ " acks all") 12 r.acked;
-    ( Digest.to_hex (Digest.string (Fmt.str "%a" Dsim.Trace.dump r.trace)),
-      r.slots,
-      r.messages_delivered )
-  in
-  let fingerprint =
-    Alcotest.triple Alcotest.string Alcotest.int Alcotest.int
-  in
-  let base = run_with ~label:"heap+batch" ~queue:Dsim.Equeue.Heap ~batching:true in
-  List.iter
-    (fun (label, queue, batching) ->
-      check fingerprint label base (run_with ~label ~queue ~batching))
-    [
-      ("heap, batching off", Dsim.Equeue.Heap, false);
-      ("wheel, batching on", Dsim.Equeue.Wheel, true);
-      ("wheel, batching off", Dsim.Equeue.Wheel, false);
-    ]
-
 let suite =
   List.concat
     [
@@ -614,8 +577,6 @@ let suite =
         Alcotest.test_case "wake-up: state-transfer floor" `Quick wake_by_floor;
         Alcotest.test_case "wake-up: stop" `Quick wake_by_stop;
         Alcotest.test_case "batching amortizes consensus" `Quick batching_amortizes;
-        Alcotest.test_case "queue/batching invariance" `Quick
-          queue_and_batching_invariance;
         Alcotest.test_case "cas replicated consistently" `Quick
           cas_replicated_consistently;
       ];
