@@ -259,10 +259,11 @@ let nemesis_campaign_table ~scale ppf =
   Format.fprintf ppf
     "@.Nemesis campaign (ben-or, %d plans): %d runs, %d faults injected, \
      %.0f runs/sec, %d safety failures, %d incomplete@."
-    plans r.Nemesis.Campaign.runs r.Nemesis.Campaign.faults_injected
-    r.Nemesis.Campaign.runs_per_sec
-    (List.length r.Nemesis.Campaign.safety_failures)
-    (List.length r.Nemesis.Campaign.incomplete)
+    plans r.Nemesis.Sweep.runs
+    (Nemesis.Sweep.faults_injected (fun o -> [ o.Nemesis.Campaign.plan ]) r)
+    r.Nemesis.Sweep.runs_per_sec
+    (List.length (Nemesis.Campaign.safety_failures r))
+    (List.length (Nemesis.Campaign.incomplete r))
 
 (* --- machine-readable baseline (BENCH_core.json) ----------------------- *)
 
@@ -470,13 +471,13 @@ let bench_core_json () =
           [
             ("jobs", Json.Int jobs);
             ("oversubscribed", Json.Bool (jobs > cap));
-            ("runs", Json.Int r.Nemesis.Campaign.runs);
-            ("wall_seconds", Json.Float r.Nemesis.Campaign.wall_seconds);
-            ("runs_per_sec", Json.Float r.Nemesis.Campaign.runs_per_sec);
+            ("runs", Json.Int r.Nemesis.Sweep.runs);
+            ("wall_seconds", Json.Float r.Nemesis.Sweep.wall_seconds);
+            ("runs_per_sec", Json.Float r.Nemesis.Sweep.runs_per_sec);
             ( "safety_failures",
-              Json.Int (List.length r.Nemesis.Campaign.safety_failures) );
+              Json.Int (List.length (Nemesis.Campaign.safety_failures r)) );
             ( "durability_failures",
-              Json.Int (List.length r.Nemesis.Campaign.durability_failures) );
+              Json.Int (List.length (Nemesis.Campaign.durability_failures r)) );
           ])
       (campaign_scaling ~plans:300 jobs_list)
   in

@@ -51,6 +51,73 @@ let expect_violation_arg =
   in
   Arg.(value & flag & info [ "expect-violation" ] ~doc)
 
+let finish ~expect_violation ~violations_found =
+  if expect_violation then
+    if violations_found then begin
+      Format.printf "expected violation found@.";
+      exit 0
+    end
+    else begin
+      Format.eprintf "no violation found but one was expected@.";
+      exit 1
+    end
+  else if violations_found then exit 1
+
+(* The campaign flags of nemesis, detect, shard and obj (nemesis has no
+   single-run mode, so no --campaign). *)
+let campaign_arg =
+  let doc = "Sweep seeded fault plans (see --plans) instead of a single run." in
+  Arg.(value & flag & info [ "campaign" ] ~doc)
+
+let plans_arg ~default =
+  let doc =
+    "Campaign mode: seeded random fault plans per sweep cell (backend, \
+     object x backend, or detector parameter set)."
+  in
+  Arg.(value & opt int default & info [ "plans" ] ~docv:"P" ~doc)
+
+let quiet_arg =
+  let doc = "Campaign mode: no per-run progress dots." in
+  Arg.(value & flag & info [ "quiet" ] ~doc)
+
+let horizon_arg =
+  let doc = "Virtual-time window fault actions are placed in." in
+  Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
+
+(* One progress mark per completed run, unless --quiet. *)
+let progress ~quiet mark =
+  if quiet then None
+  else
+    Some
+      (fun o ->
+        print_char (mark o);
+        flush stdout)
+
+let write_stable_report pp report = function
+  | None -> ()
+  | Some file ->
+      Out_channel.with_open_text file (fun oc ->
+          let ppf = Format.formatter_of_out_channel oc in
+          pp ppf report;
+          Format.pp_print_flush ppf ());
+      Format.printf "stable report written to %s@." file
+
+(* Read, parse and validate a --plan file; exit 2 on a bad one. *)
+let load_plan ~n file =
+  let text = In_channel.with_open_text file In_channel.input_all in
+  let plan =
+    try Nemesis.Plan.of_string text
+    with Nemesis.Plan.Parse_error msg ->
+      Format.eprintf "cannot parse plan %s: %s@." file msg;
+      exit 2
+  in
+  match Nemesis.Plan.validate ~n plan with
+  | [] -> plan
+  | problems ->
+      Format.eprintf "ill-formed plan %s:@." file;
+      List.iter (Format.eprintf "  %s@.") problems;
+      exit 2
+
 let resolve_jobs jobs = if jobs = 0 then Exec.Pool.cores () else jobs
 
 let split_inputs n = Array.init n (fun i -> i mod 2 = 0)
@@ -545,10 +612,6 @@ let nemesis_cmd =
           [ Rsm.Backend.ben_or ]
       & info [ "backend" ] ~docv:"BACKEND" ~doc)
   in
-  let plans_arg =
-    let doc = "Seeded random fault plans per backend." in
-    Arg.(value & opt int 50 & info [ "plans" ] ~docv:"P" ~doc)
-  in
   let clients_arg =
     let doc = "Closed-loop clients driving the store." in
     Arg.(value & opt int 3 & info [ "clients" ] ~docv:"K" ~doc)
@@ -572,10 +635,6 @@ let nemesis_cmd =
     in
     Arg.(value & opt (some int) None & info [ "max-down" ] ~docv:"D" ~doc)
   in
-  let horizon_arg =
-    let doc = "Virtual-time window fault actions are placed in." in
-    Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
-  in
   let benign_arg =
     let doc =
       "Generate quiet-horizon plans only: every crash restarted and every \
@@ -594,10 +653,6 @@ let nemesis_cmd =
   let shrink_arg =
     let doc = "On failure, shrink the first failing plan to a local minimum." in
     Arg.(value & flag & info [ "shrink" ] ~doc)
-  in
-  let quiet_arg =
-    let doc = "No per-run progress dots." in
-    Arg.(value & flag & info [ "quiet" ] ~doc)
   in
   let storage_arg =
     let doc =
@@ -643,19 +698,7 @@ let nemesis_cmd =
     match plan_file with
     | Some file ->
         (* Single-plan replay mode. *)
-        let text = In_channel.with_open_text file In_channel.input_all in
-        let plan =
-          try Nemesis.Plan.of_string text
-          with Nemesis.Plan.Parse_error msg ->
-            Format.eprintf "cannot parse plan %s: %s@." file msg;
-            exit 2
-        in
-        (match Nemesis.Plan.validate ~n plan with
-        | [] -> ()
-        | problems ->
-            Format.eprintf "ill-formed plan %s:@." file;
-            List.iter (Format.eprintf "  %s@.") problems;
-            exit 2);
+        let plan = load_plan ~n file in
         Format.printf "replaying %s (%d actions) at seed %d:@.%a" file
           (Nemesis.Plan.length plan) seed Nemesis.Plan.pp plan;
         let any_unsafe = ref false in
@@ -682,30 +725,23 @@ let nemesis_cmd =
           backends;
         if !any_unsafe then exit 1
     | None ->
-        let on_outcome (o : Nemesis.Campaign.outcome) =
-          if not quiet then begin
-            print_char
-              (if not o.safety then 'X' else if not o.live then '!' else '.');
-            flush stdout
-          end
-        in
         let report =
-          Nemesis.Campaign.run ~jobs:(resolve_jobs jobs) ~on_outcome cfg
+          Nemesis.Campaign.run ~jobs:(resolve_jobs jobs)
+            ?on_outcome:
+              (progress ~quiet (fun (o : Nemesis.Campaign.outcome) ->
+                   if not o.safety then 'X' else if not o.live then '!' else '.'))
+            cfg
         in
         if not quiet then print_newline ();
         Format.printf "%a" Nemesis.Campaign.pp_report report;
-        Option.iter
-          (fun file ->
-            Out_channel.with_open_text file (fun oc ->
-                let ppf = Format.formatter_of_out_channel oc in
-                Nemesis.Campaign.pp_report_stable ppf report;
-                Format.pp_print_flush ppf ());
-            Format.printf "stable report written to %s@." file)
-          report_out;
+        write_stable_report Nemesis.Campaign.pp_report_stable report report_out;
+        let safety_failures = Nemesis.Campaign.safety_failures report in
+        let durability_failures = Nemesis.Campaign.durability_failures report in
         let failing, predicate =
           match
-            (report.safety_failures, report.durability_failures,
-             report.incomplete)
+            ( safety_failures,
+              durability_failures,
+              Nemesis.Campaign.incomplete report )
           with
           | o :: _, _, _ ->
               (Some o, fun r -> not (Nemesis.Campaign.safety_ok r))
@@ -744,12 +780,12 @@ let nemesis_cmd =
             in
             Option.iter (fun file -> write_plan file final_plan) dump)
           failing;
-        if report.safety_failures <> [] || report.durability_failures <> []
-        then exit 1
+        if safety_failures <> [] || durability_failures <> [] then exit 1
   in
   let term =
     Term.(
-      const run $ n_arg 5 $ seed_arg $ backends_arg $ plans_arg $ clients_arg
+      const run $ n_arg 5 $ seed_arg $ backends_arg $ plans_arg ~default:50
+      $ clients_arg
       $ commands_arg $ batch_arg $ max_actions_arg $ max_down_arg $ horizon_arg
       $ benign_arg $ storage_arg $ plan_file_arg $ dump_arg $ shrink_arg
       $ quiet_arg $ jobs_arg $ report_out_arg $ show_trace_arg)
@@ -814,27 +850,9 @@ let detect_cmd =
     in
     Arg.(value & flag & info [ "expect-violation" ] ~doc)
   in
-  let campaign_arg =
-    let doc =
-      "Sweep generated fault plans instead of a single run (see --plans)."
-    in
-    Arg.(value & flag & info [ "campaign" ] ~doc)
-  in
-  let plans_arg =
-    let doc = "Seeded random fault plans in --campaign mode." in
-    Arg.(value & opt int 50 & info [ "plans" ] ~docv:"P" ~doc)
-  in
-  let horizon_arg =
-    let doc = "Virtual-time window fault actions are placed in." in
-    Arg.(value & opt int 800 & info [ "horizon" ] ~docv:"H" ~doc)
-  in
   let plan_file_arg =
     let doc = "Inject this plan file into a single run." in
     Arg.(value & opt (some file) None & info [ "plan" ] ~docv:"FILE" ~doc)
-  in
-  let quiet_arg =
-    let doc = "No per-run progress dots in --campaign mode." in
-    Arg.(value & flag & info [ "quiet" ] ~doc)
   in
   let run n seed period timeout cap mutant expect_violation campaign plans
       horizon plan_file quiet jobs report_out show_trace =
@@ -876,53 +894,27 @@ let detect_cmd =
           profile = { (Nemesis.Gen.default ~n) with Nemesis.Gen.horizon };
         }
       in
-      let on_outcome (o : Nemesis.Detect_campaign.outcome) =
-        if not quiet then begin
-          print_char
-            (if not (o.agreement && o.validity) then 'X'
-             else if o.livelock then '!'
-             else '.');
-          flush stdout
-        end
-      in
       let report =
-        Nemesis.Detect_campaign.run ~jobs:(resolve_jobs jobs) ~on_outcome cfg
+        Nemesis.Detect_campaign.run ~jobs:(resolve_jobs jobs)
+          ?on_outcome:
+            (progress ~quiet (fun (o : Nemesis.Detect_campaign.outcome) ->
+                 if not (o.agreement && o.validity) then 'X'
+                 else if o.livelock then '!'
+                 else '.'))
+          cfg
       in
       if not quiet then print_newline ();
       Format.printf "%a" Nemesis.Detect_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Detect_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
+      write_stable_report Nemesis.Detect_campaign.pp_report_stable report
         report_out;
       finish
         ~safety_ok:
-          (report.Nemesis.Detect_campaign.agreement_failures = []
-          && report.Nemesis.Detect_campaign.validity_failures = [])
-        ~liveness_ok:(report.Nemesis.Detect_campaign.livelocks = [])
+          (Nemesis.Detect_campaign.agreement_failures report = []
+          && Nemesis.Detect_campaign.validity_failures report = [])
+        ~liveness_ok:(Nemesis.Detect_campaign.livelocks report = [])
     end
     else begin
-      let plan =
-        Option.map
-          (fun file ->
-            let text = In_channel.with_open_text file In_channel.input_all in
-            let plan =
-              try Nemesis.Plan.of_string text
-              with Nemesis.Plan.Parse_error msg ->
-                Format.eprintf "cannot parse plan %s: %s@." file msg;
-                exit 2
-            in
-            match Nemesis.Plan.validate ~n plan with
-            | [] -> plan
-            | problems ->
-                Format.eprintf "ill-formed plan %s:@." file;
-                List.iter (Format.eprintf "  %s@.") problems;
-                exit 2)
-          plan_file
-      in
+      let plan = Option.map (load_plan ~n) plan_file in
       let r =
         Detect.Runner.run ~n ~seed:(Int64.of_int seed) ~params ~mutant:mutant_v
           ~horizon:(horizon + 3000)
@@ -962,7 +954,7 @@ let detect_cmd =
   let term =
     Term.(
       const run $ n_arg 4 $ seed_arg $ period_arg $ timeout_arg $ cap_arg
-      $ mutant_arg $ expect_violation_arg $ campaign_arg $ plans_arg
+      $ mutant_arg $ expect_violation_arg $ campaign_arg $ plans_arg ~default:50
       $ horizon_arg $ plan_file_arg $ quiet_arg $ jobs_arg $ report_out_arg
       $ show_trace_arg)
   in
@@ -1053,17 +1045,6 @@ let shard_cmd =
     in
     Arg.(value & flag & info [ "broken-2pc" ] ~doc)
   in
-  let campaign_arg =
-    let doc =
-      "Run a seed-sweep fault campaign (one generated plan per shard per \
-       seed) instead of a single run."
-    in
-    Arg.(value & flag & info [ "campaign" ] ~doc)
-  in
-  let plans_arg =
-    let doc = "Campaign mode: seeded per-shard fault plans per backend." in
-    Arg.(value & opt int 30 & info [ "plans" ] ~docv:"P" ~doc)
-  in
   let max_events_arg =
     let doc = "Engine event budget." in
     Arg.(value & opt int 20_000_000 & info [ "max-events" ] ~docv:"E" ~doc)
@@ -1103,18 +1084,7 @@ let shard_cmd =
       Format.eprintf "need at least one shard and one replica@.";
       exit 2
     end;
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     let load =
       {
         Workload.Load.default with
@@ -1147,19 +1117,13 @@ let shard_cmd =
         Nemesis.Shard_campaign.run ~jobs:(resolve_jobs jobs) cfg
       in
       Format.printf "%a" Nemesis.Shard_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Shard_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
+      write_stable_report Nemesis.Shard_campaign.pp_report_stable report
         report_out;
       finish
         ~violations_found:
-          (report.Nemesis.Shard_campaign.safety_failures <> []
-          || report.Nemesis.Shard_campaign.atomicity_failures <> []
-          || report.Nemesis.Shard_campaign.durability_failures <> [])
+          (Nemesis.Shard_campaign.safety_failures report <> []
+          || Nemesis.Shard_campaign.atomicity_failures report <> []
+          || Nemesis.Shard_campaign.durability_failures report <> [])
     end
     else begin
       let inject =
@@ -1241,7 +1205,8 @@ let shard_cmd =
       const run $ seed_arg $ backend_arg $ shards_arg $ replicas_arg
       $ clients_arg $ ops_arg $ keys_arg $ tx_pct_arg $ tx_span_arg $ zipf_arg
       $ batch_arg $ open_loop_arg $ no_nemesis_arg $ storage_arg $ broken_arg
-      $ expect_violation_arg $ campaign_arg $ plans_arg $ max_events_arg
+      $ expect_violation_arg $ campaign_arg $ plans_arg ~default:30
+      $ max_events_arg
       $ jobs_arg $ report_out_arg $ show_trace_arg)
   in
   Cmd.v
@@ -1315,17 +1280,6 @@ let obj_cmd =
       & opt ~vopt:(Some 1) (some int) None
       & info [ "broken-obj" ] ~docv:"K" ~doc)
   in
-  let campaign_arg =
-    let doc =
-      "Run a nemesis campaign (objects x backends x fault plans, every run \
-       Wing–Gong-checked) instead of a single run."
-    in
-    Arg.(value & flag & info [ "campaign" ] ~doc)
-  in
-  let plans_arg =
-    let doc = "Campaign mode: fault plans (= seeds) per object x backend." in
-    Arg.(value & opt int 5 & info [ "plans" ] ~docv:"P" ~doc)
-  in
   let storage_arg =
     let doc =
       "Campaign mode: WAL-backed replicas, plans draw storage faults."
@@ -1350,18 +1304,7 @@ let obj_cmd =
         (clients * commands) Workload.Obj_load.max_history;
       exit 2
     end;
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     if campaign then begin
       let cfg =
         {
@@ -1374,19 +1317,14 @@ let obj_cmd =
           commands;
           batch;
           storage;
+          drop_nth;
         }
       in
       let report = Nemesis.Obj_campaign.run ~jobs:(resolve_jobs jobs) cfg in
       Format.printf "%a" Nemesis.Obj_campaign.pp_report report;
-      Option.iter
-        (fun file ->
-          Out_channel.with_open_text file (fun oc ->
-              let ppf = Format.formatter_of_out_channel oc in
-              Nemesis.Obj_campaign.pp_report_stable ppf report;
-              Format.pp_print_flush ppf ());
-          Format.printf "stable report written to %s@." file)
+      write_stable_report Nemesis.Obj_campaign.pp_report_stable report
         report_out;
-      finish ~violations_found:(report.Nemesis.Obj_campaign.failures <> [])
+      finish ~violations_found:(Nemesis.Obj_campaign.failures report <> [])
     end
     else begin
       let summaries =
@@ -1417,7 +1355,7 @@ let obj_cmd =
     Term.(
       const run $ n_arg 5 $ seed_arg $ backends_arg $ object_arg $ clients_arg
       $ commands_arg $ batch_arg $ crashes_arg $ restart_after_arg $ broken_arg
-      $ expect_violation_arg $ campaign_arg $ plans_arg $ storage_arg
+      $ expect_violation_arg $ campaign_arg $ plans_arg ~default:5 $ storage_arg
       $ jobs_arg $ report_out_arg)
   in
   Cmd.v
@@ -1554,18 +1492,7 @@ let mcheck_cmd =
   let run model n depth fault_budget reduction no_reduce prune audit frontier
       pct schedules pct_d pct_steps pct_seed max_schedules stop_at_first jobs
       report_out dump_ce replay_file expect_violation list_models =
-    let finish ~violations_found =
-      if expect_violation then
-        if violations_found then begin
-          Format.printf "expected violation found@.";
-          exit 0
-        end
-        else begin
-          Format.eprintf "no violation found but one was expected@.";
-          exit 1
-        end
-      else if violations_found then exit 1
-    in
+    let finish = finish ~expect_violation in
     if list_models then
       List.iter
         (fun name ->
@@ -1609,14 +1536,7 @@ let mcheck_cmd =
           let m = Mcheck.Models.of_name ?n model ~fault_budget in
           let report = Mcheck.Pct.run ~jobs:(resolve_jobs jobs) ~config m in
           Format.printf "%a" Mcheck.Pct.pp_report report;
-          Option.iter
-            (fun file ->
-              Out_channel.with_open_text file (fun oc ->
-                  let ppf = Format.formatter_of_out_channel oc in
-                  Mcheck.Pct.pp_report_stable ppf report;
-                  Format.pp_print_flush ppf ());
-              Format.printf "stable report written to %s@." file)
-            report_out;
+          write_stable_report Mcheck.Pct.pp_report_stable report report_out;
           Option.iter
             (fun file ->
               match report.Mcheck.Pct.pr_counterexample with
@@ -1662,13 +1582,7 @@ let mcheck_cmd =
             Mcheck.Explorer.explore ~jobs:(resolve_jobs jobs) ~config m
           in
           Format.printf "%a" Mcheck.Explorer.pp_report report;
-          Option.iter
-            (fun file ->
-              Out_channel.with_open_text file (fun oc ->
-                  let ppf = Format.formatter_of_out_channel oc in
-                  Mcheck.Explorer.pp_report_stable ppf report;
-                  Format.pp_print_flush ppf ());
-              Format.printf "stable report written to %s@." file)
+          write_stable_report Mcheck.Explorer.pp_report_stable report
             report_out;
           Option.iter
             (fun file ->

@@ -427,39 +427,30 @@ let creator_of t s =
   if s >= 0 && s < Array.length t.creators then t.creators.(s) else -1
 
 let pop_next_oracle t o =
-  match Heap.min_key_count t.events with
-  | 0 -> None
-  | 1 ->
-      (* No choice to make, but the event still becomes the creator of
-         whatever its execution schedules. *)
-      (match Heap.min_key_seqs t.events with
-      | [ s ] -> t.cur_seq <- s
-      | _ -> ());
-      Heap.pop t.events
-  | arity ->
-      let owners =
-        Array.of_list
-          (List.map
-             (fun ev ->
-               let ow = ev_owner ev in
-               if ow < 0 then None else Some ow)
-             (Heap.min_key_values t.events))
-      in
-      let seqs = Array.of_list (Heap.min_key_seqs t.events) in
-      let creators = Array.map (fun s -> creator_of t s) seqs in
+  Heap.pop_tied t.events (fun ~seqs ~vals ->
+      let arity = Array.length seqs in
+      (* A lone event is no choice, so the oracle is not consulted; it
+         still becomes the creator of whatever its execution schedules. *)
       let idx =
-        o.choose
-          {
-            c_domain = "sched";
-            c_arity = arity;
-            c_owners = owners;
-            c_time = Heap.peek_key_fast t.events;
-            c_seqs = seqs;
-            c_creators = creators;
-          }
+        if arity = 1 then 0
+        else
+          o.choose
+            {
+              c_domain = "sched";
+              c_arity = arity;
+              c_owners =
+                Array.map
+                  (fun ev ->
+                    let ow = ev_owner ev in
+                    if ow < 0 then None else Some ow)
+                  vals;
+              c_time = Heap.peek_key_fast t.events;
+              c_seqs = seqs;
+              c_creators = Array.map (fun s -> creator_of t s) seqs;
+            }
       in
       t.cur_seq <- seqs.(idx);
-      Heap.pop_min_nth t.events idx
+      idx)
 
 let run ?until ?max_events t =
   let limit = match until with Some l -> l | None -> max_int in

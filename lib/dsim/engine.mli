@@ -120,7 +120,7 @@ type choice = {
       (** number of alternatives; 0 means open-ended (any [int >= 0]) *)
   c_owners : int option array;
       (** for ["sched"]: the tied events' owner labels, in the order
-          {!pop_min_nth} indexes them; empty for other domains *)
+          {!Heap.pop_tied} indexes them; empty for other domains *)
   c_time : int;
       (** for ["sched"]: the virtual time the tied events fire at — two
           consultations race-analyse against each other only when their

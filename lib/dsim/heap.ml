@@ -131,18 +131,6 @@ let fold_tied t init f =
     go init 0
   end
 
-let min_key_count t = fold_tied t 0 (fun n _ -> n + 1)
-
-let min_entries_by_seq t =
-  let idxs = fold_tied t [] (fun acc i -> i :: acc) in
-  List.sort (fun a b -> compare t.seqs.(a) t.seqs.(b)) (List.rev idxs)
-
-let min_key_values t =
-  List.map (fun i -> t.vals.(i)) (min_entries_by_seq t)
-
-let min_key_seqs t =
-  List.map (fun i -> t.seqs.(i)) (min_entries_by_seq t)
-
 let last_seq t = t.next_seq - 1
 
 (* Swap-based sifts for interior removal (oracle mode only — cold). *)
@@ -191,13 +179,22 @@ let remove_at t i =
   end;
   (key, value)
 
-let pop_min_nth t n =
+(* One walk of the tied subtree and one sort by seq per choice; the
+   chooser sees the tie set in insertion order and its answer indexes
+   the same array the removal uses. *)
+let pop_tied t choose =
   if t.size = 0 then None
   else begin
-    let by_seq = min_entries_by_seq t in
-    match List.nth_opt by_seq n with
-    | None -> invalid_arg "Heap.pop_min_nth: index out of tied range"
-    | Some i -> Some (remove_at t i)
+    let idxs = Array.of_list (fold_tied t [] (fun acc i -> i :: acc)) in
+    Array.sort (fun a b -> compare t.seqs.(a) t.seqs.(b)) idxs;
+    let n =
+      choose
+        ~seqs:(Array.map (fun i -> t.seqs.(i)) idxs)
+        ~vals:(Array.map (fun i -> t.vals.(i)) idxs)
+    in
+    if n < 0 || n >= Array.length idxs then
+      invalid_arg "Heap.pop_tied: index out of tied range";
+    Some (remove_at t idxs.(n))
   end
 
 (* Keep the backing arrays: a cleared-and-reused heap (campaign runs,

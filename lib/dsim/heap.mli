@@ -9,8 +9,7 @@
     arrays); [add] and [pop_value] allocate nothing once the arrays are
     warm.  The sift order is bit-identical to the classic boxed-entry
     implementation, so the tie sets the choice oracle observes (through
-    {!min_key_values}, {!min_key_seqs} and {!pop_min_nth}) are
-    unchanged. *)
+    {!pop_tied}) are unchanged. *)
 
 type t
 
@@ -41,30 +40,23 @@ val peek_key_fast : t -> int
 (** Unchecked {!peek_key}: the smallest key, assuming the heap is
     non-empty.  Undefined (may raise [Invalid_argument]) when empty. *)
 
-val min_key_count : t -> int
-(** How many queued elements are tied for the smallest key (0 when
-    empty).  O(ties), not O(size). *)
-
-val min_key_values : t -> int list
-(** The elements tied for the smallest key, in insertion (seq) order —
-    the order {!pop} would surface them.  Does not remove anything. *)
-
-val min_key_seqs : t -> int list
-(** The insertion sequence numbers of the elements tied for the smallest
-    key, in insertion order — positionally parallel to
-    {!min_key_values}.  Seqs are assigned densely from 0 by {!add}
-    (reset by {!clear}), so they give each queued element a stable
-    identity a schedule explorer can track across consultations. *)
-
 val last_seq : t -> int
 (** The sequence number assigned by the most recent {!add} (-1 before
     the first add or after {!clear}). *)
 
-val pop_min_nth : t -> int -> (int * int) option
-(** [pop_min_nth t i] removes and returns the [i]-th element (insertion
-    order, 0-based) among those tied for the smallest key.
-    [pop_min_nth t 0] is {!pop}.  [None] when the heap is empty.
-    @raise Invalid_argument when [i] is outside the tied range. *)
+val pop_tied : t -> (seqs:int array -> vals:int array -> int) -> (int * int) option
+(** [pop_tied t choose] hands [choose] the elements tied for the
+    smallest key, in insertion (seq) order — the order {!pop} would
+    surface them — as their insertion sequence numbers and their
+    payloads (positionally parallel), then removes and returns the
+    [choose]-th of them (0-based) as [(key, value)].  An answer of 0 is
+    {!pop}.  [None], without calling [choose], when the heap is empty.
+    Seqs are assigned densely from 0 by {!add} (reset by {!clear}), so
+    they give each queued element a stable identity a schedule explorer
+    can track across choices.  O(ties log ties), not O(size).
+    @raise Invalid_argument ["Heap.pop_tied: index out of tied range"]
+    when the answer is negative or not below the number of tied
+    elements; the heap is then unchanged. *)
 
 val clear : t -> unit
 (** Drop all elements and reset the tiebreak sequence, keeping the

@@ -51,18 +51,11 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
+
+let safety_failures = Sweep.failures (fun o -> o.safety)
+let incomplete = Sweep.failures (fun o -> o.live)
+let durability_failures = Sweep.failures (fun o -> o.durable)
 
 let run_plan ?(quiet = false) cfg ~backend ~seed plan =
   fst
@@ -80,73 +73,14 @@ let plan_for cfg ~seed =
     { cfg.profile with n = cfg.n; storage = cfg.profile.storage || cfg.storage }
     ~seed
 
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    safety_failures = [];
-    incomplete = [];
-    durability_failures = [];
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
-
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    safety_failures = (if o.safety then [] else [ o ]);
-    incomplete = (if o.live then [] else [ o ]);
-    durability_failures = (if o.durable then [] else [ o ]);
-    faults_injected = Plan.length o.plan;
-    coverage = Plan.count_kinds o.plan;
-  }
-
-(* Associative, order-preserving: counts add, outcome lists
-   concatenate, timing takes the envelope (max wall / summed cpu).
-   Folding singleton reports in work order rebuilds exactly the report
-   a sequential sweep produces, which is what lets parallel chunks be
-   aggregated without caring when they finished. *)
-let merge a b =
-  let wall = Float.max a.wall_seconds b.wall_seconds in
-  let runs = a.runs + b.runs in
-  {
-    runs;
-    outcomes = a.outcomes @ b.outcomes;
-    safety_failures = a.safety_failures @ b.safety_failures;
-    incomplete = a.incomplete @ b.incomplete;
-    durability_failures = a.durability_failures @ b.durability_failures;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2 (fun (k, x) (k', y) -> assert (k = k'); (k, x + y))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
-
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun backend ->
-           List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
-         cfg.backends)
-  in
-  let progress = Mutex.create () in
-  let one (backend, seed) =
-    let plan = plan_for cfg ~seed in
-    (* Sweep runs are quiet: nothing reads their traces, and skipping
-       trace-string construction is most of the campaign's allocation.
-       Replaying a single plan through [run_plan] still traces. *)
-    let r = run_plan ~quiet:true cfg ~backend ~seed plan in
-    let o =
+let run ?jobs ?on_outcome cfg =
+  Sweep.run ?jobs ?on_outcome ~cells:cfg.backends ~first_seed:cfg.first_seed
+    ~plans:cfg.plans (fun backend ~seed ->
+      let plan = plan_for cfg ~seed in
+      (* Sweep runs are quiet: nothing reads their traces, and skipping
+         trace-string construction is most of the campaign's allocation.
+         Replaying a single plan through [run_plan] still traces. *)
+      let r = run_plan ~quiet:true cfg ~backend ~seed plan in
       {
         backend_name = Rsm.Backend.name backend;
         plan_seed = seed;
@@ -158,60 +92,25 @@ let run ?(jobs = 1) ?on_outcome cfg =
         submitted = r.Rsm.Runner.submitted;
         virtual_time = r.Rsm.Runner.virtual_time;
         engine_outcome = r.Rsm.Runner.engine_outcome;
-      }
-    in
-    (* Completion order under jobs > 1 is nondeterministic; the mutex
-       only keeps concurrent observers from interleaving output. *)
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
-
-(* Everything below the first line is deterministic for a given
-   campaign; only that header line carries timing.  [pp_report_stable]
-   drops it so reports can be byte-compared across job counts. *)
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
-  Format.fprintf ppf
-    "  safety failures: %d, incomplete runs: %d, durability failures: %d@."
-    (List.length r.safety_failures)
-    (List.length r.incomplete)
-    (List.length r.durability_failures);
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  SAFETY %s seed=%d (%d actions, %d/%d acked)@."
-        o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
-    r.safety_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  DURABILITY %s seed=%d (%d actions, %d/%d acked)@."
-        o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
-    r.durability_failures
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "nemesis campaign: %d runs, %d faults injected, %.1f runs/sec (%.2fs wall, \
-     %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
+      })
 
 let pp_report_stable ppf r =
-  Format.fprintf ppf "nemesis campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+  Sweep.pp_faults "nemesis" (fun o -> [ o.plan ]) ppf r;
+  Format.fprintf ppf
+    "  safety failures: %d, incomplete runs: %d, durability failures: %d@."
+    (List.length (safety_failures r))
+    (List.length (incomplete r))
+    (List.length (durability_failures r));
+  let dump tag os =
+    List.iter
+      (fun o ->
+        Format.fprintf ppf "  %s %s seed=%d (%d actions, %d/%d acked)@." tag
+          o.backend_name o.plan_seed (Plan.length o.plan) o.acked o.submitted)
+      os
+  in
+  dump "SAFETY" (safety_failures r);
+  dump "DURABILITY" (durability_failures r)
+
+let pp_report ppf r =
+  pp_report_stable ppf r;
+  Sweep.pp_timing ppf r

@@ -52,19 +52,12 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** in plan order (backend-major), at every job count *)
-  safety_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;  (** total plan actions across the campaign *)
-  coverage : (string * int) list;  (** injected actions by kind *)
-  cpu_seconds : float;
-      (** process CPU, summed across worker domains under [jobs > 1] *)
-  wall_seconds : float;  (** elapsed wall-clock time for the sweep *)
-  runs_per_sec : float;  (** [runs / wall_seconds] *)
-}
+type report = outcome Sweep.report
+(** Outcomes in plan order (backend-major), at every job count. *)
+
+val safety_failures : report -> outcome list
+val incomplete : report -> outcome list
+val durability_failures : report -> outcome list
 
 val plan_for : config -> seed:int -> Plan.t
 (** The plan a given seed names under this campaign's profile. *)
@@ -81,24 +74,13 @@ val run_plan :
     (default false) runs the engine without tracing — identical report
     fields, no trace. *)
 
-val merge : report -> report -> report
-(** Associative aggregation: counts add, outcome lists concatenate in
-    argument order, coverage sums per kind; [wall_seconds] takes the
-    max (parallel chunks overlap) and [cpu_seconds] the sum.  Folding
-    per-run reports in plan order reproduces {!run}'s report. *)
-
 val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The full sweep.  [jobs] (default 1) fans the runs over that many
-    domains ({!Exec.Pool}); every run is an isolated simulation keyed
-    only by its seed, so the report is identical — field for field,
-    modulo timing — at every job count.  Sweep runs execute quiet (no
-    trace retention).  [on_outcome] observes each run as it completes
-    (progress reporting); under [jobs > 1] completion order is
-    nondeterministic, though calls never interleave. *)
+(** The full sweep ({!Sweep.run}): every backend x seed cell, run quiet
+    (no trace retention). *)
 
 val pp_report : Format.formatter -> report -> unit
 
 val pp_report_stable : Format.formatter -> report -> unit
-(** [pp_report] minus the timing figures: deterministic for a given
+(** [pp_report] minus the timing line: deterministic for a given
     campaign, so reports from different job counts (or machines) can
     be diffed byte-for-byte. *)

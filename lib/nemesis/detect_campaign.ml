@@ -68,214 +68,87 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** params-major, then plan order *)
-  agreement_failures : outcome list;
-  validity_failures : outcome list;
-  livelocks : outcome list;
-  stable_runs : int;
-  decided_runs : int;
-  latency_sum : int;  (** summed decision latencies over decided runs *)
-  latency_runs : int;
-  suspicions : int;
-  false_suspicions : int;
-  stability_sum : int;  (** summed omega_stable_at over stabilised runs *)
-  stability_runs : int;
-  heartbeats : int;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
 
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    agreement_failures = [];
-    validity_failures = [];
-    livelocks = [];
-    stable_runs = 0;
-    decided_runs = 0;
-    latency_sum = 0;
-    latency_runs = 0;
-    suspicions = 0;
-    false_suspicions = 0;
-    stability_sum = 0;
-    stability_runs = 0;
-    heartbeats = 0;
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
+let agreement_failures = Sweep.failures (fun o -> o.agreement)
+let validity_failures = Sweep.failures (fun o -> o.validity)
+let livelocks = Sweep.failures (fun o -> not o.livelock)
 
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    agreement_failures = (if o.agreement then [] else [ o ]);
-    validity_failures = (if o.validity then [] else [ o ]);
-    livelocks = (if o.livelock then [ o ] else []);
-    stable_runs = (if o.stable then 1 else 0);
-    decided_runs = (if o.decided then 1 else 0);
-    latency_sum = Option.value o.decision_latency ~default:0;
-    latency_runs = (if o.decision_latency <> None then 1 else 0);
-    suspicions = o.suspicions;
-    false_suspicions = o.false_suspicions;
-    stability_sum = Option.value o.omega_stable_at ~default:0;
-    stability_runs = (if o.omega_stable_at <> None then 1 else 0);
-    heartbeats = o.heartbeats;
-    faults_injected = Plan.length o.plan;
-    coverage = Plan.count_kinds o.plan;
-  }
+let run ?jobs ?on_outcome cfg =
+  if cfg.params = [] then invalid_arg "Detect_campaign.run: empty parameter grid";
+  Sweep.run ?jobs ?on_outcome
+    ~cells:(List.mapi (fun i p -> (i, p)) cfg.params)
+    ~first_seed:cfg.first_seed ~plans:cfg.plans (fun (params_ix, params) ~seed ->
+      let plan = Gen.generate { cfg.profile with Gen.n = cfg.n } ~seed in
+      let r =
+        Detect.Runner.run ~n:cfg.n ~seed:(Int64.of_int seed) ~params
+          ~mutant:cfg.mutant
+          ~horizon:(cfg.profile.Gen.horizon + cfg.horizon_slack)
+          ~max_events:cfg.max_events ~quiet:true
+          ~install:(fun f -> Interp.install_detect plan f)
+          ()
+      in
+      let stable = eventually_stable ~n:cfg.n plan in
+      {
+        plan_seed = seed;
+        params_ix;
+        plan;
+        stable;
+        decided = r.Detect.Runner.all_live_decided;
+        agreement = r.Detect.Runner.agreement_ok;
+        validity = r.Detect.Runner.validity_ok;
+        livelock = stable && not r.Detect.Runner.all_live_decided;
+        decision_latency = r.Detect.Runner.first_decision;
+        suspicions = r.Detect.Runner.suspicions;
+        false_suspicions = r.Detect.Runner.false_suspicions;
+        omega_stable_at = r.Detect.Runner.omega_stable_at;
+        heartbeats = r.Detect.Runner.heartbeats_sent;
+        virtual_time = r.Detect.Runner.virtual_time;
+        engine_outcome = r.Detect.Runner.outcome;
+      })
 
-let merge a b =
-  {
-    runs = a.runs + b.runs;
-    outcomes = a.outcomes @ b.outcomes;
-    agreement_failures = a.agreement_failures @ b.agreement_failures;
-    validity_failures = a.validity_failures @ b.validity_failures;
-    livelocks = a.livelocks @ b.livelocks;
-    stable_runs = a.stable_runs + b.stable_runs;
-    decided_runs = a.decided_runs + b.decided_runs;
-    latency_sum = a.latency_sum + b.latency_sum;
-    latency_runs = a.latency_runs + b.latency_runs;
-    suspicions = a.suspicions + b.suspicions;
-    false_suspicions = a.false_suspicions + b.false_suspicions;
-    stability_sum = a.stability_sum + b.stability_sum;
-    stability_runs = a.stability_runs + b.stability_runs;
-    heartbeats = a.heartbeats + b.heartbeats;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2
-        (fun (k1, c1) (k2, c2) ->
-          assert (String.equal k1 k2);
-          (k1, c1 + c2))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = Float.max a.wall_seconds b.wall_seconds;
-    runs_per_sec = 0.;
-  }
-
-let plan_for cfg ~seed = Gen.generate { cfg.profile with Gen.n = cfg.n } ~seed
-
-let run_plan ?(quiet = true) cfg ~params ~seed plan =
-  Detect.Runner.run ~n:cfg.n
-    ~seed:(Int64.of_int seed)
-    ~params ~mutant:cfg.mutant
-    ~horizon:(cfg.profile.Gen.horizon + cfg.horizon_slack)
-    ~max_events:cfg.max_events ~quiet
-    ~install:(fun f -> Interp.install_detect plan f)
-    ()
-
-let outcome_of_run cfg ~params_ix ~seed plan (r : Detect.Runner.report) =
-  let stable = eventually_stable ~n:cfg.n plan in
-  {
-    plan_seed = seed;
-    params_ix;
-    plan;
-    stable;
-    decided = r.Detect.Runner.all_live_decided;
-    agreement = r.Detect.Runner.agreement_ok;
-    validity = r.Detect.Runner.validity_ok;
-    livelock = stable && not r.Detect.Runner.all_live_decided;
-    decision_latency = r.Detect.Runner.first_decision;
-    suspicions = r.Detect.Runner.suspicions;
-    false_suspicions = r.Detect.Runner.false_suspicions;
-    omega_stable_at = r.Detect.Runner.omega_stable_at;
-    heartbeats = r.Detect.Runner.heartbeats_sent;
-    virtual_time = r.Detect.Runner.virtual_time;
-    engine_outcome = r.Detect.Runner.outcome;
-  }
-
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let n_params = List.length cfg.params in
-  if n_params = 0 then invalid_arg "Detect_campaign.run: empty parameter grid";
-  let params = Array.of_list cfg.params in
-  let work =
-    Array.init (n_params * cfg.plans) (fun i ->
-        (i / cfg.plans, cfg.first_seed + (i mod cfg.plans)))
+(* The counters are folds over the outcomes; only the timing line in
+   [pp_report] is nondeterministic. *)
+let pp_report_stable ppf r =
+  let count p = List.length (List.filter p r.Sweep.outcomes) in
+  let sum f = List.fold_left (fun a o -> a + f o) 0 r.outcomes in
+  let mean f =
+    match List.filter_map f r.outcomes with
+    | [] -> "-"
+    | xs ->
+        Printf.sprintf "%.1f"
+          (float_of_int (List.fold_left ( + ) 0 xs)
+          /. float_of_int (List.length xs))
   in
-  let progress = Mutex.create () in
-  let one (params_ix, seed) =
-    let plan = plan_for cfg ~seed in
-    let r = run_plan cfg ~params:params.(params_ix) ~seed plan in
-    let o = outcome_of_run cfg ~params_ix ~seed plan r in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
-
-(* Only the header line carries timing; everything below it is
-   deterministic for a given campaign. *)
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
+  let suspicions = sum (fun o -> o.suspicions) in
+  let false_suspicions = sum (fun o -> o.false_suspicions) in
+  Sweep.pp_faults "detect" (fun o -> [ o.plan ]) ppf r;
   Format.fprintf ppf
     "  stable plans: %d/%d, decided runs: %d, livelocked stable runs: %d@."
-    r.stable_runs r.runs r.decided_runs (List.length r.livelocks);
+    (count (fun o -> o.stable))
+    r.runs
+    (count (fun o -> o.decided))
+    (List.length (livelocks r));
   Format.fprintf ppf "  agreement failures: %d, validity failures: %d@."
-    (List.length r.agreement_failures)
-    (List.length r.validity_failures);
+    (List.length (agreement_failures r))
+    (List.length (validity_failures r));
   Format.fprintf ppf
-    "  suspicions: %d (false: %d, rate %.3f), heartbeats: %d@." r.suspicions
-    r.false_suspicions
-    (if r.suspicions = 0 then 0.
-     else float_of_int r.false_suspicions /. float_of_int r.suspicions)
-    r.heartbeats;
+    "  suspicions: %d (false: %d, rate %.3f), heartbeats: %d@." suspicions
+    false_suspicions
+    (if suspicions = 0 then 0.
+     else float_of_int false_suspicions /. float_of_int suspicions)
+    (sum (fun o -> o.heartbeats));
   Format.fprintf ppf
     "  mean decision latency: %s, mean time-to-omega-stability: %s@."
-    (if r.latency_runs = 0 then "-"
-     else Printf.sprintf "%.1f" (float_of_int r.latency_sum /. float_of_int r.latency_runs))
-    (if r.stability_runs = 0 then "-"
-     else
-       Printf.sprintf "%.1f"
-         (float_of_int r.stability_sum /. float_of_int r.stability_runs));
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  AGREEMENT VIOLATION: params %d seed %d@."
-        o.params_ix o.plan_seed)
-    r.agreement_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  VALIDITY VIOLATION: params %d seed %d@."
-        o.params_ix o.plan_seed)
-    r.validity_failures;
-  List.iter
-    (fun o ->
-      Format.fprintf ppf "  LIVELOCK: params %d seed %d (stable plan, undecided)@."
-        o.params_ix o.plan_seed)
-    r.livelocks
+    (mean (fun o -> o.decision_latency))
+    (mean (fun o -> o.omega_stable_at));
+  let dump fmt os =
+    List.iter (fun o -> Format.fprintf ppf fmt o.params_ix o.plan_seed) os
+  in
+  dump "  AGREEMENT VIOLATION: params %d seed %d@." (agreement_failures r);
+  dump "  VALIDITY VIOLATION: params %d seed %d@." (validity_failures r);
+  dump "  LIVELOCK: params %d seed %d (stable plan, undecided)@." (livelocks r)
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "detect campaign: %d runs, %d faults injected (%.1f runs/s, %.2fs wall, %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "detect campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+  pp_report_stable ppf r;
+  Sweep.pp_timing ppf r

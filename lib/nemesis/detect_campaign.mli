@@ -53,52 +53,19 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** params-major, then plan order *)
-  agreement_failures : outcome list;
-  validity_failures : outcome list;
-  livelocks : outcome list;
-  stable_runs : int;
-  decided_runs : int;
-  latency_sum : int;
-  latency_runs : int;
-  suspicions : int;
-  false_suspicions : int;
-  stability_sum : int;
-  stability_runs : int;
-  heartbeats : int;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
+(** Outcomes params-major, then plan order. *)
 
-val empty_report : report
-
-val plan_for : config -> seed:int -> Plan.t
-
-val run_plan :
-  ?quiet:bool ->
-  config ->
-  params:Detect.Timeout.params ->
-  seed:int ->
-  Plan.t ->
-  Detect.Runner.report
-(** One deterministic run (the shrinker's replay function).  [quiet]
-    defaults to true — pass false to retain the trace. *)
-
-val merge : report -> report -> report
-(** Associative aggregation (see {!Campaign.merge}). *)
+val agreement_failures : report -> outcome list
+val validity_failures : report -> outcome list
+val livelocks : report -> outcome list
 
 val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The full sweep.  [jobs] (default 1) fans runs over that many
-    domains; the report is identical — field for field, modulo timing
-    — at every job count. *)
+(** The full sweep ({!Sweep.run}): every parameter set x seed cell, run
+    quiet.  @raise Invalid_argument on an empty parameter grid. *)
 
 val pp_report : Format.formatter -> report -> unit
 
 val pp_report_stable : Format.formatter -> report -> unit
-(** {!pp_report} minus the timing header — byte-identical across job
+(** {!pp_report} minus the timing line — byte-identical across job
     counts. *)

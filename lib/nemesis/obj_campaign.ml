@@ -15,6 +15,7 @@ type config = {
   batch : int;
   profile : Gen.profile;
   storage : bool;
+  drop_nth : int option;
 }
 
 let default_config ?(n = 5) () =
@@ -29,6 +30,7 @@ let default_config ?(n = 5) () =
     batch = 4;
     profile = Gen.default ~n;
     storage = false;
+    drop_nth = None;
   }
 
 type outcome = {
@@ -37,110 +39,59 @@ type outcome = {
   plan : Plan.t;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** object-major, then backend, then seed *)
-  failures : outcome list;  (** any gate tripped: order, digest, or WG *)
-  wg_failures : outcome list;  (** the WG gate specifically *)
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
 
-let plan_for cfg ~seed =
-  Gen.generate
+let failures = Sweep.failures (fun o -> o.summary.Workload.Obj_load.ok)
+
+let wg_failures =
+  Sweep.failures (fun o -> o.summary.Workload.Obj_load.wg_violations = [])
+
+let run ?jobs ?on_outcome cfg =
+  let profile =
     { cfg.profile with n = cfg.n; storage = cfg.profile.storage || cfg.storage }
-    ~seed
-
-let run_plan ?(quiet = true) cfg ~object_name ~backend ~seed plan =
-  Workload.Obj_load.run ~n:cfg.n ~clients:cfg.clients ~commands:cfg.commands
-    ~batch:cfg.batch ~seed ~quiet ~trace_capacity:2_000 ~ack_timeout:400
-    ~max_events:400_000
-    ~inject:
-      { Workload.Obj_load.inject = (fun f -> Interp.install_rsm plan f) }
-    ?store:(if cfg.storage then Some Rsm.Runner.default_store_config else None)
-    ~backend ~object_name ()
-
-let run ?(jobs = 1) ?on_outcome cfg =
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun object_name ->
-           List.concat_map
-             (fun backend ->
-               List.init cfg.plans (fun k ->
-                   (object_name, backend, cfg.first_seed + k)))
-             cfg.backends)
-         cfg.objects)
   in
-  let progress = Mutex.create () in
-  let one (object_name, backend, seed) =
-    let plan = plan_for cfg ~seed in
-    let summary = run_plan cfg ~object_name ~backend ~seed plan in
-    let o = { summary; plan_seed = seed; plan } in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
+  let cells =
+    List.concat_map
+      (fun object_name -> List.map (fun b -> (object_name, b)) cfg.backends)
+      cfg.objects
   in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> let _, _, s = work.(i) in s) one work
-  in
-  let outcomes = Array.to_list outcomes in
-  let failures = List.filter (fun o -> not o.summary.Workload.Obj_load.ok) outcomes in
-  let wg_failures =
-    List.filter
-      (fun o -> o.summary.Workload.Obj_load.wg_violations <> [])
-      outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  let runs = List.length outcomes in
-  {
-    runs;
-    outcomes;
-    failures;
-    wg_failures;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
-
-let pp_report_body ppf r =
-  let by_object =
-    List.sort_uniq compare
-      (List.map (fun o -> o.summary.Workload.Obj_load.object_name) r.outcomes)
-  in
-  List.iter
-    (fun name ->
-      let mine =
-        List.filter
-          (fun o -> o.summary.Workload.Obj_load.object_name = name)
-          r.outcomes
+  Sweep.run ?jobs ?on_outcome ~cells ~first_seed:cfg.first_seed
+    ~plans:cfg.plans (fun (object_name, backend) ~seed ->
+      let plan = Gen.generate profile ~seed in
+      let summary =
+        Workload.Obj_load.run ~n:cfg.n ~clients:cfg.clients
+          ~commands:cfg.commands ~batch:cfg.batch ~seed ~quiet:true
+          ~trace_capacity:2_000 ~ack_timeout:400 ~max_events:400_000
+          ~inject:
+            { Workload.Obj_load.inject = (fun f -> Interp.install_rsm plan f) }
+          ?store:
+            (if cfg.storage then Some Rsm.Runner.default_store_config else None)
+          ?drop_nth:cfg.drop_nth ~backend ~object_name ()
       in
+      { summary; plan_seed = seed; plan })
+
+let pp_report_stable ppf r =
+  Format.fprintf ppf "object campaign: %d runs, %d failures (%d linearizability)@."
+    r.Sweep.runs
+    (List.length (failures r))
+    (List.length (wg_failures r));
+  let name o = o.summary.Workload.Obj_load.object_name in
+  List.iter
+    (fun object_name ->
+      let mine = List.filter (fun o -> name o = object_name) r.outcomes in
       let bad = List.filter (fun o -> not o.summary.Workload.Obj_load.ok) mine in
-      Format.fprintf ppf "  %-8s %d runs, %d failures@." name
+      Format.fprintf ppf "  %-8s %d runs, %d failures@." object_name
         (List.length mine) (List.length bad))
-    by_object;
+    (List.sort_uniq compare (List.map name r.outcomes));
   List.iter
     (fun o ->
-      Format.fprintf ppf "  FAIL %s/%s seed=%d (%d actions): %s@."
-        o.summary.Workload.Obj_load.object_name
+      Format.fprintf ppf "  FAIL %s/%s seed=%d (%d actions): %s@." (name o)
         o.summary.Workload.Obj_load.backend_name o.plan_seed (Plan.length o.plan)
         (match o.summary.Workload.Obj_load.wg_violations with
         | v :: _ -> v
         | [] -> "order/digest gate"))
-    r.failures
+    (failures r)
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "object campaign: %d runs, %d failures (%d linearizability), %.1f \
-     runs/sec@."
-    r.runs
-    (List.length r.failures)
-    (List.length r.wg_failures)
-    r.runs_per_sec;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "object campaign: %d runs, %d failures (%d linearizability)@."
-    r.runs
-    (List.length r.failures)
-    (List.length r.wg_failures);
-  pp_report_body ppf r
+  pp_report_stable ppf r;
+  Sweep.pp_timing ppf r

@@ -1,5 +1,5 @@
-(** Nemesis campaigns over the universal construction: sweep
-    objects x backends x plan seeds, Wing–Gong-checking every run.
+(** Nemesis campaigns over the universal construction: sweep objects x
+    backends x plan seeds, Wing–Gong-checking every run.
 
     The per-run gates are {!Workload.Obj_load.summary.ok}: zero
     total-order/completeness/durability violations, agreeing
@@ -18,11 +18,15 @@ type config = {
   batch : int;
   profile : Gen.profile;
   storage : bool;  (** give replicas WAL-backed disks + storage faults *)
+  drop_nth : int option;
+      (** run the broken construction that acks but discards the K-th
+          state-changing entry ([drop_nth] of {!Workload.Obj_load.run}) *)
 }
 
 val default_config : ?n:int -> unit -> config
 (** Ben-Or only, every registry object, 5 plans from seed 1, n=5,
-    3 clients x 4 commands, batch 4, default profile, no storage. *)
+    3 clients x 4 commands, batch 4, default profile, no storage, the
+    correct construction. *)
 
 type outcome = {
   summary : Workload.Obj_load.summary;
@@ -30,37 +34,21 @@ type outcome = {
   plan : Plan.t;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;  (** object-major, then backend, then seed *)
-  failures : outcome list;  (** any gate tripped: order, digest, or WG *)
-  wg_failures : outcome list;  (** the WG gate specifically *)
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
+(** Outcomes object-major, then backend, then seed. *)
 
-val plan_for : config -> seed:int -> Plan.t
-(** The plan a given seed names under this campaign's profile. *)
+val failures : report -> outcome list
+(** Runs that tripped any gate: order, digest or WG. *)
 
-val run_plan :
-  ?quiet:bool ->
-  config ->
-  object_name:string ->
-  backend:Rsm.Backend.t ->
-  seed:int ->
-  Plan.t ->
-  Workload.Obj_load.summary
-(** One deterministic run: the object's workload for [seed] under the
-    given plan ([quiet] defaults to true here — campaigns don't read
-    traces). *)
+val wg_failures : report -> outcome list
+(** Runs that tripped the WG gate specifically. *)
 
 val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The sweep.  [jobs] fans cells over domains ({!Exec.Pool});
-    [on_outcome] observes completions (mutex-serialized, order
-    nondeterministic under [jobs > 1]).  The report is identical at
-    every job count. *)
+(** The sweep ({!Sweep.run}): every object x backend x seed cell, run
+    quiet. *)
 
 val pp_report : Format.formatter -> report -> unit
+
 val pp_report_stable : Format.formatter -> report -> unit
-(** [pp_report] with the timing header dropped, for byte-stable
-    comparison across job counts. *)
+(** [pp_report] minus the timing line, for byte-stable comparison
+    across job counts. *)

@@ -53,23 +53,16 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  atomicity_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
 
-(* One plan per shard, all derived from the campaign seed; the prime
-   stride keeps per-shard streams disjoint across neighbouring seeds. *)
-let plans_for cfg ~seed =
+let safety_failures = Sweep.failures (fun o -> o.safety)
+let atomicity_failures = Sweep.failures (fun o -> o.atomic)
+let incomplete = Sweep.failures (fun o -> o.live)
+let durability_failures = Sweep.failures (fun o -> o.durable)
+
+let run_cell cfg backend ~seed =
+  (* One plan per shard, all derived from the campaign seed; the prime
+     stride keeps per-shard streams disjoint across neighbouring seeds. *)
   let profile =
     {
       cfg.profile with
@@ -77,10 +70,10 @@ let plans_for cfg ~seed =
       storage = cfg.profile.Gen.storage || cfg.storage;
     }
   in
-  Array.init cfg.shards (fun shard ->
-      Gen.generate profile ~seed:((seed * 1009) + shard))
-
-let run_plans ?(quiet = true) cfg ~backend ~seed plans =
+  let plans =
+    Array.init cfg.shards (fun shard ->
+        Gen.generate profile ~seed:((seed * 1009) + shard))
+  in
   let load =
     {
       Workload.Load.default with
@@ -90,16 +83,14 @@ let run_plans ?(quiet = true) cfg ~backend ~seed plans =
       tx_pct = cfg.tx_pct;
     }
   in
-  fst
-    (Workload.Shard_load.run_one ~shards:cfg.shards ~replicas:cfg.replicas
-       ~batch:cfg.batch ~seed ~load ~quiet ~ack_timeout:cfg.ack_timeout
-       ~max_events:cfg.max_events ~broken_2pc:cfg.broken_2pc
-       ~inject:(Interp.install_shard plans)
-       ?store:
-         (if cfg.storage then Some Rsm.Runner.default_store_config else None)
-       ~backend ())
-
-let outcome_of_report ~backend ~seed plans (r : Shard.Runner.report) =
+  let r, _ =
+    Workload.Shard_load.run_one ~shards:cfg.shards ~replicas:cfg.replicas
+      ~batch:cfg.batch ~seed ~load ~quiet:true ~ack_timeout:cfg.ack_timeout
+      ~max_events:cfg.max_events ~broken_2pc:cfg.broken_2pc
+      ~inject:(Interp.install_shard plans)
+      ?store:(if cfg.storage then Some Rsm.Runner.default_store_config else None)
+      ~backend ()
+  in
   let all f = Array.for_all f r.Shard.Runner.shard_reports in
   let total_ops =
     r.Shard.Runner.singles_submitted + r.Shard.Runner.txs_started
@@ -129,114 +120,18 @@ let outcome_of_report ~backend ~seed plans (r : Shard.Runner.report) =
     engine_outcome = r.Shard.Runner.engine_outcome;
   }
 
-let empty_report =
-  {
-    runs = 0;
-    outcomes = [];
-    safety_failures = [];
-    atomicity_failures = [];
-    incomplete = [];
-    durability_failures = [];
-    faults_injected = 0;
-    coverage = List.map (fun k -> (k, 0)) Plan.kinds;
-    cpu_seconds = 0.;
-    wall_seconds = 0.;
-    runs_per_sec = 0.;
-  }
+let run ?jobs ?on_outcome cfg =
+  Sweep.run ?jobs ?on_outcome ~cells:cfg.backends ~first_seed:cfg.first_seed
+    ~plans:cfg.plans (run_cell cfg)
 
-let count_kinds_all plans =
-  Array.fold_left
-    (fun acc plan ->
-      List.map2
-        (fun (k, x) (k', y) ->
-          assert (k = k');
-          (k, x + y))
-        acc (Plan.count_kinds plan))
-    (List.map (fun k -> (k, 0)) Plan.kinds)
-    plans
-
-let report_of_outcome o =
-  {
-    empty_report with
-    runs = 1;
-    outcomes = [ o ];
-    safety_failures = (if o.safety then [] else [ o ]);
-    atomicity_failures = (if o.atomic then [] else [ o ]);
-    incomplete = (if o.live then [] else [ o ]);
-    durability_failures = (if o.durable then [] else [ o ]);
-    faults_injected =
-      Array.fold_left (fun a p -> a + Plan.length p) 0 o.plans;
-    coverage = count_kinds_all o.plans;
-  }
-
-(* Same associativity argument as {!Campaign.merge}: folding singleton
-   reports in work order rebuilds the sequential report exactly. *)
-let merge a b =
-  let wall = Float.max a.wall_seconds b.wall_seconds in
-  let runs = a.runs + b.runs in
-  {
-    runs;
-    outcomes = a.outcomes @ b.outcomes;
-    safety_failures = a.safety_failures @ b.safety_failures;
-    atomicity_failures = a.atomicity_failures @ b.atomicity_failures;
-    incomplete = a.incomplete @ b.incomplete;
-    durability_failures = a.durability_failures @ b.durability_failures;
-    faults_injected = a.faults_injected + b.faults_injected;
-    coverage =
-      List.map2
-        (fun (k, x) (k', y) ->
-          assert (k = k');
-          (k, x + y))
-        a.coverage b.coverage;
-    cpu_seconds = a.cpu_seconds +. b.cpu_seconds;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int runs /. wall);
-  }
-
-let run ?(jobs = 1) ?on_outcome (cfg : config) =
-  let t0_cpu = Sys.time () in
-  let t0 = Unix.gettimeofday () in
-  let work =
-    Array.of_list
-      (List.concat_map
-         (fun backend ->
-           List.init cfg.plans (fun k -> (backend, cfg.first_seed + k)))
-         cfg.backends)
-  in
-  let progress = Mutex.create () in
-  let one (backend, seed) =
-    let plans = plans_for cfg ~seed in
-    let r = run_plans ~quiet:true cfg ~backend ~seed plans in
-    let o = outcome_of_report ~backend ~seed plans r in
-    Option.iter (fun f -> Mutex.protect progress (fun () -> f o)) on_outcome;
-    o
-  in
-  let outcomes =
-    Exec.Pool.map ~jobs ~seed_of:(fun i -> snd work.(i)) one work
-  in
-  let r =
-    Array.fold_left
-      (fun acc o -> merge acc (report_of_outcome o))
-      empty_report outcomes
-  in
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    r with
-    cpu_seconds = Sys.time () -. t0_cpu;
-    wall_seconds = wall;
-    runs_per_sec = (if wall <= 0. then 0. else float_of_int r.runs /. wall);
-  }
-
-let pp_report_body ppf r =
-  Format.fprintf ppf "  coverage: %s@."
-    (String.concat ", "
-       (List.map (fun (k, c) -> Printf.sprintf "%s=%d" k c) r.coverage));
+let pp_report_stable ppf r =
+  Sweep.pp_faults "shard" (fun o -> Array.to_list o.plans) ppf r;
   Format.fprintf ppf
     "  safety: %d, atomicity: %d, incomplete: %d, durability: %d@."
-    (List.length r.safety_failures)
-    (List.length r.atomicity_failures)
-    (List.length r.incomplete)
-    (List.length r.durability_failures);
+    (List.length (safety_failures r))
+    (List.length (atomicity_failures r))
+    (List.length (incomplete r))
+    (List.length (durability_failures r));
   let dump tag os =
     List.iter
       (fun o ->
@@ -245,18 +140,10 @@ let pp_report_body ppf r =
           o.txs_aborted)
       os
   in
-  dump "SAFETY" r.safety_failures;
-  dump "ATOMICITY" r.atomicity_failures;
-  dump "DURABILITY" r.durability_failures
+  dump "SAFETY" (safety_failures r);
+  dump "ATOMICITY" (atomicity_failures r);
+  dump "DURABILITY" (durability_failures r)
 
 let pp_report ppf r =
-  Format.fprintf ppf
-    "shard campaign: %d runs, %d faults injected, %.1f runs/sec (%.2fs wall, \
-     %.2fs cpu)@."
-    r.runs r.faults_injected r.runs_per_sec r.wall_seconds r.cpu_seconds;
-  pp_report_body ppf r
-
-let pp_report_stable ppf r =
-  Format.fprintf ppf "shard campaign: %d runs, %d faults injected@." r.runs
-    r.faults_injected;
-  pp_report_body ppf r
+  pp_report_stable ppf r;
+  Sweep.pp_timing ppf r

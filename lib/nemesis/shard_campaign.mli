@@ -47,43 +47,18 @@ type outcome = {
   engine_outcome : Dsim.Engine.outcome;
 }
 
-type report = {
-  runs : int;
-  outcomes : outcome list;
-  safety_failures : outcome list;
-  atomicity_failures : outcome list;
-  incomplete : outcome list;
-  durability_failures : outcome list;
-  faults_injected : int;
-  coverage : (string * int) list;  (** action-kind occurrence counts *)
-  cpu_seconds : float;
-  wall_seconds : float;
-  runs_per_sec : float;
-}
+type report = outcome Sweep.report
 
-val plans_for : config -> seed:int -> Plan.t array
-(** The per-shard plans a campaign seed expands into (deterministic). *)
-
-val run_plans :
-  ?quiet:bool ->
-  config ->
-  backend:Rsm.Backend.t ->
-  seed:int ->
-  Plan.t array ->
-  Shard.Runner.report
-(** Replay one campaign cell — e.g. to re-run a failure with tracing
-    on ([quiet:false]). *)
-
-val merge : report -> report -> report
-(** Associative and order-preserving, like {!Campaign.merge}. *)
+val safety_failures : report -> outcome list
+val atomicity_failures : report -> outcome list
+val incomplete : report -> outcome list
+val durability_failures : report -> outcome list
 
 val run : ?jobs:int -> ?on_outcome:(outcome -> unit) -> config -> report
-(** The sweep: every backend x seed cell, fanned over [jobs] domains
-    ({!Exec.Pool}); the report is identical at every job count (only
-    the timing fields differ — compare with {!pp_report_stable}). *)
+(** The sweep ({!Sweep.run}): every backend x seed cell, run quiet. *)
 
 val pp_report : Format.formatter -> report -> unit
 
 val pp_report_stable : Format.formatter -> report -> unit
-(** {!pp_report} minus the timing header line: byte-identical across
-    job counts for the same campaign. *)
+(** {!pp_report} minus the timing line: byte-identical across job
+    counts for the same campaign. *)

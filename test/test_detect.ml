@@ -143,13 +143,13 @@ let honest_campaign_has_no_livelocks () =
     { (Detect_campaign.default_config ~n:4 ()) with Detect_campaign.plans = 25 }
   in
   let r = Detect_campaign.run ~jobs:2 cfg in
-  check Alcotest.int "all runs executed" 25 r.Detect_campaign.runs;
+  check Alcotest.int "all runs executed" 25 r.Nemesis.Sweep.runs;
   check Alcotest.int "no agreement failures" 0
-    (List.length r.Detect_campaign.agreement_failures);
+    (List.length (Detect_campaign.agreement_failures r));
   check Alcotest.int "no validity failures" 0
-    (List.length r.Detect_campaign.validity_failures);
+    (List.length (Detect_campaign.validity_failures r));
   check Alcotest.int "every stable plan decides (no livelock)" 0
-    (List.length r.Detect_campaign.livelocks)
+    (List.length (Detect_campaign.livelocks r))
 
 let rotating_campaign_flags_liveness_loss () =
   let cfg =
@@ -161,10 +161,11 @@ let rotating_campaign_flags_liveness_loss () =
   in
   let r = Detect_campaign.run cfg in
   check Alcotest.bool "livelocks flagged" true
-    (List.length r.Detect_campaign.livelocks > 0);
-  check Alcotest.int "decided runs" 0 r.Detect_campaign.decided_runs;
+    (List.length (Detect_campaign.livelocks r) > 0);
+  check Alcotest.int "decided runs" 0
+    (List.length (List.filter (fun o -> o.Detect_campaign.decided) r.outcomes));
   check Alcotest.int "agreement intact under the lying detector" 0
-    (List.length r.Detect_campaign.agreement_failures)
+    (List.length (Detect_campaign.agreement_failures r))
 
 let campaign_report_stable_across_jobs () =
   let cfg =
@@ -176,6 +177,35 @@ let campaign_report_stable_across_jobs () =
   let r1 = render (Detect_campaign.run ~jobs:1 cfg) in
   let r2 = render (Detect_campaign.run ~jobs:2 cfg) in
   check Alcotest.string "stable reports byte-identical at jobs 1 and 2" r1 r2
+
+(* The lying Rotate mutant's stable report, pinned byte for byte (the
+   jobs test above only compares two renderings with each other). *)
+let rotating_campaign_golden_report () =
+  let cfg =
+    {
+      (Detect_campaign.default_config ~n:4 ()) with
+      Detect_campaign.plans = 4;
+      mutant = Oracle.Rotating;
+    }
+  in
+  check Alcotest.string "stable report"
+    (String.concat "\n"
+       [
+         "detect campaign: 4 runs, 32 faults injected";
+         "  coverage: crash=5, restart=2, partition=6, heal=5, drop=8, dup=2, \
+          delay=4, torn=0, sync-loss=0, io-err=0, stall=0";
+         "  stable plans: 4/4, decided runs: 0, livelocked stable runs: 4";
+         "  agreement failures: 0, validity failures: 0";
+         "  suspicions: 46 (false: 35, rate 0.761), heartbeats: 7494";
+         "  mean decision latency: -, mean time-to-omega-stability: -";
+         "  LIVELOCK: params 0 seed 1 (stable plan, undecided)";
+         "  LIVELOCK: params 0 seed 2 (stable plan, undecided)";
+         "  LIVELOCK: params 0 seed 3 (stable plan, undecided)";
+         "  LIVELOCK: params 0 seed 4 (stable plan, undecided)";
+         "";
+       ])
+    (Format.asprintf "%a" Detect_campaign.pp_report_stable
+       (Detect_campaign.run cfg))
 
 (* --- §12 regression: partitions stall the RSM until heal ----------------- *)
 
@@ -313,6 +343,8 @@ let suite =
       rotating_campaign_flags_liveness_loss;
     Alcotest.test_case "campaign report stable across job counts" `Slow
       campaign_report_stable_across_jobs;
+    Alcotest.test_case "rotating campaign golden stable report" `Quick
+      rotating_campaign_golden_report;
     Alcotest.test_case "partition stalls RSM slots until heal (§12)" `Quick
       partition_stalls_rsm_until_heal;
     Alcotest.test_case "validate rejects orphan restarts and heals" `Quick

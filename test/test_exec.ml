@@ -80,18 +80,20 @@ let campaign_report_independent_of_jobs () =
   in
   let r1 = Nemesis.Campaign.run ~jobs:1 cfg in
   let r4 = Nemesis.Campaign.run ~jobs:4 cfg in
-  check Alcotest.int "runs" r1.Nemesis.Campaign.runs r4.Nemesis.Campaign.runs;
-  check Alcotest.int "faults injected" r1.Nemesis.Campaign.faults_injected
-    r4.Nemesis.Campaign.faults_injected;
+  let plans_of o = [ o.Nemesis.Campaign.plan ] in
+  check Alcotest.int "runs" r1.Nemesis.Sweep.runs r4.Nemesis.Sweep.runs;
+  check Alcotest.int "faults injected"
+    (Nemesis.Sweep.faults_injected plans_of r1)
+    (Nemesis.Sweep.faults_injected plans_of r4);
   check Alcotest.bool "outcomes field-for-field" true
-    (r1.Nemesis.Campaign.outcomes = r4.Nemesis.Campaign.outcomes);
+    (r1.Nemesis.Sweep.outcomes = r4.Nemesis.Sweep.outcomes);
   check Alcotest.bool "coverage" true
-    (r1.Nemesis.Campaign.coverage = r4.Nemesis.Campaign.coverage);
+    (Nemesis.Sweep.coverage plans_of r1 = Nemesis.Sweep.coverage plans_of r4);
   check Alcotest.bool "failure lists" true
-    (r1.Nemesis.Campaign.safety_failures = r4.Nemesis.Campaign.safety_failures
-    && r1.Nemesis.Campaign.incomplete = r4.Nemesis.Campaign.incomplete
-    && r1.Nemesis.Campaign.durability_failures
-       = r4.Nemesis.Campaign.durability_failures);
+    (Nemesis.Campaign.safety_failures r1 = Nemesis.Campaign.safety_failures r4
+    && Nemesis.Campaign.incomplete r1 = Nemesis.Campaign.incomplete r4
+    && Nemesis.Campaign.durability_failures r1
+       = Nemesis.Campaign.durability_failures r4);
   (* The stable printer is the CI diff contract: byte-identical. *)
   let stable r = Format.asprintf "%a" Nemesis.Campaign.pp_report_stable r in
   check Alcotest.string "stable report byte-identical" (stable r1) (stable r4)
@@ -105,6 +107,26 @@ let sweep_cells_independent_of_jobs () =
   in
   check Alcotest.bool "identical cells" true (sweep 1 = sweep 3)
 
+(* The one [Sweep.merge], checked once per outcome type: merging the
+   reports of two consecutive seed ranges rebuilds the outcomes of the
+   whole range, and the derived rate is recomputed from the merged
+   runs and wall time. *)
+let check_merge name ~full ~a ~b =
+  let m = Nemesis.Sweep.merge a b in
+  check Alcotest.int (name ^ ": merged runs") full.Nemesis.Sweep.runs
+    m.Nemesis.Sweep.runs;
+  check Alcotest.bool (name ^ ": merged outcomes") true
+    (m.Nemesis.Sweep.outcomes = full.Nemesis.Sweep.outcomes);
+  check (Alcotest.float 0.) (name ^ ": runs_per_sec = runs / wall")
+    (float_of_int m.Nemesis.Sweep.runs /. m.Nemesis.Sweep.wall_seconds)
+    m.Nemesis.Sweep.runs_per_sec;
+  check (Alcotest.float 0.) (name ^ ": wall is the envelope")
+    (Float.max a.Nemesis.Sweep.wall_seconds b.Nemesis.Sweep.wall_seconds)
+    m.Nemesis.Sweep.wall_seconds;
+  check (Alcotest.float 0.) (name ^ ": cpu adds")
+    (a.Nemesis.Sweep.cpu_seconds +. b.Nemesis.Sweep.cpu_seconds)
+    m.Nemesis.Sweep.cpu_seconds
+
 let merge_matches_sequential_aggregation () =
   let cfg =
     {
@@ -112,23 +134,31 @@ let merge_matches_sequential_aggregation () =
       Nemesis.Campaign.plans = 6;
     }
   in
+  let half first_seed =
+    Nemesis.Campaign.run { cfg with Nemesis.Campaign.plans = 3; first_seed }
+  in
   let full = Nemesis.Campaign.run cfg in
-  let a =
-    Nemesis.Campaign.run { cfg with Nemesis.Campaign.plans = 3 }
+  let a = half cfg.first_seed and b = half (cfg.first_seed + 3) in
+  check_merge "kv" ~full ~a ~b;
+  let plans_of o = [ o.Nemesis.Campaign.plan ] in
+  let m = Nemesis.Sweep.merge a b in
+  check Alcotest.bool "kv: merged coverage" true
+    (Nemesis.Sweep.coverage plans_of m = Nemesis.Sweep.coverage plans_of full);
+  check Alcotest.int "kv: merged faults"
+    (Nemesis.Sweep.faults_injected plans_of full)
+    (Nemesis.Sweep.faults_injected plans_of m);
+  let dcfg =
+    {
+      (Nemesis.Detect_campaign.default_config ~n:4 ()) with
+      Nemesis.Detect_campaign.plans = 4;
+    }
   in
-  let b =
-    Nemesis.Campaign.run
-      { cfg with Nemesis.Campaign.plans = 3; first_seed = cfg.first_seed + 3 }
+  let dhalf first_seed =
+    Nemesis.Detect_campaign.run
+      { dcfg with Nemesis.Detect_campaign.plans = 2; first_seed }
   in
-  let m = Nemesis.Campaign.merge a b in
-  check Alcotest.int "merged runs" full.Nemesis.Campaign.runs
-    m.Nemesis.Campaign.runs;
-  check Alcotest.bool "merged outcomes" true
-    (m.Nemesis.Campaign.outcomes = full.Nemesis.Campaign.outcomes);
-  check Alcotest.bool "merged coverage" true
-    (m.Nemesis.Campaign.coverage = full.Nemesis.Campaign.coverage);
-  check Alcotest.int "merged faults" full.Nemesis.Campaign.faults_injected
-    m.Nemesis.Campaign.faults_injected
+  check_merge "detect" ~full:(Nemesis.Detect_campaign.run dcfg)
+    ~a:(dhalf dcfg.first_seed) ~b:(dhalf (dcfg.first_seed + 2))
 
 let suite =
   [

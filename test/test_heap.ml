@@ -126,16 +126,15 @@ let prop_heap_length =
 
 (* One random op per generated item.  Keys come from a small range so
    tie sets are common, and adds may land below the current minimum:
-   the heap, unlike the engine, does not need monotone keys.  A [Nth]
-   index runs one past either end of the tied range so the
+   the heap, unlike the engine, does not need monotone keys.  A [Tied]
+   answer runs one past either end of the tied range so the
    out-of-range rejection is exercised too. *)
 type heap_op =
   | Add of int * int
   | Pop
   | Pop_value
   | Peek
-  | Ties
-  | Nth of int
+  | Tied of int
   | Clear
 
 let gen_heap_ops =
@@ -147,8 +146,7 @@ let gen_heap_ops =
        else if sel < 62 then return Pop
        else if sel < 72 then return Pop_value
        else if sel < 78 then return Peek
-       else if sel < 88 then return Ties
-       else if sel < 97 then map (fun i -> Nth i) (int_range (-1) 4)
+       else if sel < 97 then map (fun i -> Tied i) (int_range (-1) 4)
        else return Clear))
 
 let arb_heap_ops =
@@ -198,22 +196,28 @@ let prop_heap_matches_model =
           | Peek ->
               agree (Dsim.Heap.peek_key h)
                 (match !m with [] -> None | (k, _, _) :: _ -> Some k)
-          | Ties ->
+          | Tied i ->
+              (* The chooser must see the model's tie set in seq order;
+                 an out-of-range answer must raise the documented
+                 message and leave the heap as it was. *)
               let ties = model_ties !m in
-              agree (Dsim.Heap.min_key_count h) (List.length ties);
-              agree (Dsim.Heap.min_key_values h)
-                (List.map (fun (_, _, v) -> v) ties);
-              agree (Dsim.Heap.min_key_seqs h)
-                (List.map (fun (_, s, _) -> s) ties)
-          | Nth i ->
-              let count = List.length (model_ties !m) in
-              if count = 0 then agree (Dsim.Heap.pop_min_nth h i) None
+              let count = List.length ties in
+              let consulted = ref false in
+              let choose ~seqs ~vals =
+                consulted := true;
+                agree (Array.to_list seqs) (List.map (fun (_, s, _) -> s) ties);
+                agree (Array.to_list vals) (List.map (fun (_, _, v) -> v) ties);
+                i
+              in
+              if count = 0 then agree (Dsim.Heap.pop_tied h choose) None
               else if i < 0 || i >= count then begin
-                match Dsim.Heap.pop_min_nth h i with
+                match Dsim.Heap.pop_tied h choose with
                 | _ -> ok := false
-                | exception Invalid_argument _ -> ()
+                | exception Invalid_argument msg ->
+                    agree msg "Heap.pop_tied: index out of tied range"
               end
-              else agree (Dsim.Heap.pop_min_nth h i) (Some (remove_nth i))
+              else agree (Dsim.Heap.pop_tied h choose) (Some (remove_nth i));
+              agree !consulted (count > 0)
           | Clear ->
               Dsim.Heap.clear h;
               m := [];

@@ -9,6 +9,7 @@ module Interp = Nemesis.Interp
 module Campaign = Nemesis.Campaign
 module Shard_campaign = Nemesis.Shard_campaign
 module Shrink = Nemesis.Shrink
+module Sweep = Nemesis.Sweep
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -217,18 +218,23 @@ let policy_windows_apply_by_send_time () =
 
 (* --- campaign over the RSM ---------------------------------------------- *)
 
+let campaign_plans o = [ o.Campaign.plan ]
+let shard_plans o = Array.to_list o.Shard_campaign.plans
+
 let campaign_smoke () =
   let cfg =
     { (Campaign.default_config ~n:4 ()) with Campaign.plans = 12; first_seed = 7 }
   in
   let r = Campaign.run cfg in
-  check Alcotest.int "all runs executed" 12 r.Campaign.runs;
-  check Alcotest.int "no safety failures" 0 (List.length r.Campaign.safety_failures);
-  check Alcotest.int "no incomplete runs" 0 (List.length r.Campaign.incomplete);
-  check Alcotest.int "coverage sums to faults injected" r.Campaign.faults_injected
-    (List.fold_left (fun a (_, c) -> a + c) 0 r.Campaign.coverage);
+  check Alcotest.int "all runs executed" 12 r.Sweep.runs;
+  check Alcotest.int "no safety failures" 0
+    (List.length (Campaign.safety_failures r));
+  check Alcotest.int "no incomplete runs" 0 (List.length (Campaign.incomplete r));
+  check Alcotest.int "coverage sums to faults injected"
+    (Sweep.faults_injected campaign_plans r)
+    (List.fold_left (fun a (_, c) -> a + c) 0 (Sweep.coverage campaign_plans r));
   check Alcotest.bool "some faults were actually injected" true
-    (r.Campaign.faults_injected > 0)
+    (Sweep.faults_injected campaign_plans r > 0)
 
 let campaign_replay_is_deterministic () =
   let cfg = Campaign.default_config ~n:4 () in
@@ -279,13 +285,14 @@ let storage_campaign_durability () =
   let r = Campaign.run cfg in
   check Alcotest.int "all runs executed"
     (7 * List.length Rsm.Backend.all)
-    r.Campaign.runs;
+    r.Sweep.runs;
   check Alcotest.int "no durability failures" 0
-    (List.length r.Campaign.durability_failures);
-  check Alcotest.int "no safety failures" 0 (List.length r.Campaign.safety_failures);
+    (List.length (Campaign.durability_failures r));
+  check Alcotest.int "no safety failures" 0
+    (List.length (Campaign.safety_failures r));
   let storage_faults =
     List.fold_left
-      (fun a k -> a + List.assoc k r.Campaign.coverage)
+      (fun a k -> a + List.assoc k (Sweep.coverage campaign_plans r))
       0
       [ "torn"; "sync-loss"; "io-err"; "stall" ]
   in
@@ -443,29 +450,29 @@ let small_shard_cfg ?(plans = 6) ?(storage = false) () =
 
 let shard_campaign_smoke () =
   let r = Shard_campaign.run (small_shard_cfg ()) in
-  check Alcotest.int "all runs executed" 6 r.Shard_campaign.runs;
+  check Alcotest.int "all runs executed" 6 r.Sweep.runs;
   check Alcotest.int "no safety failures" 0
-    (List.length r.Shard_campaign.safety_failures);
+    (List.length (Shard_campaign.safety_failures r));
   check Alcotest.int "no atomicity failures" 0
-    (List.length r.Shard_campaign.atomicity_failures);
+    (List.length (Shard_campaign.atomicity_failures r));
   check Alcotest.int "no incomplete runs" 0
-    (List.length r.Shard_campaign.incomplete);
+    (List.length (Shard_campaign.incomplete r));
   check Alcotest.int "coverage sums to faults injected"
-    r.Shard_campaign.faults_injected
-    (List.fold_left (fun a (_, c) -> a + c) 0 r.Shard_campaign.coverage);
+    (Sweep.faults_injected shard_plans r)
+    (List.fold_left (fun a (_, c) -> a + c) 0 (Sweep.coverage shard_plans r));
   check Alcotest.bool "some faults were actually injected" true
-    (r.Shard_campaign.faults_injected > 0)
+    (Sweep.faults_injected shard_plans r > 0)
 
 let shard_campaign_storage_durability () =
   let r = Shard_campaign.run (small_shard_cfg ~plans:4 ~storage:true ()) in
-  check Alcotest.int "all runs executed" 4 r.Shard_campaign.runs;
+  check Alcotest.int "all runs executed" 4 r.Sweep.runs;
   check Alcotest.int "no durability failures" 0
-    (List.length r.Shard_campaign.durability_failures);
+    (List.length (Shard_campaign.durability_failures r));
   check Alcotest.int "no atomicity failures" 0
-    (List.length r.Shard_campaign.atomicity_failures);
+    (List.length (Shard_campaign.atomicity_failures r));
   let storage_faults =
     List.fold_left
-      (fun a k -> a + List.assoc k r.Shard_campaign.coverage)
+      (fun a k -> a + List.assoc k (Sweep.coverage shard_plans r))
       0
       [ "torn"; "sync-loss"; "io-err"; "stall" ]
   in
@@ -484,6 +491,65 @@ let shard_campaign_jobs_independent () =
   check Alcotest.string "stable report identical at jobs=1 and jobs=2"
     (stable (Shard_campaign.run ~jobs:1 cfg))
     (stable (Shard_campaign.run ~jobs:2 cfg))
+
+(* --- golden stable reports ---------------------------------------------- *)
+
+(* The [pp_report_stable] text of small campaigns whose reports carry
+   failure lines, pinned byte for byte: the jobs-independence tests only
+   compare two renderings with each other, so these pin the content. *)
+let render pp r = Format.asprintf "%a" pp r
+
+(* Under-provisioned and storage-faulted: every replica may crash and
+   fsyncs may lie, so some runs stall (incomplete) and some lose acked
+   commands. *)
+let campaign_golden_report () =
+  let n = 3 in
+  let base = Campaign.default_config ~n () in
+  let cfg =
+    {
+      base with
+      Campaign.plans = 60;
+      max_events = 120_000;
+      ack_timeout = 200;
+      storage = true;
+      profile = { base.Campaign.profile with Gen.max_down = n; max_actions = 12 };
+    }
+  in
+  check Alcotest.string "stable report"
+    (String.concat "\n"
+       [
+         "nemesis campaign: 60 runs, 421 faults injected";
+         "  coverage: crash=86, restart=20, partition=34, heal=28, drop=36, \
+          dup=30, delay=40, torn=43, sync-loss=40, io-err=33, stall=31";
+         "  safety failures: 2, incomplete runs: 8, durability failures: 3";
+         "  SAFETY ben-or seed=2 (13 actions, 9/9 acked)";
+         "  SAFETY ben-or seed=47 (12 actions, 9/9 acked)";
+         "  DURABILITY ben-or seed=2 (13 actions, 9/9 acked)";
+         "  DURABILITY ben-or seed=30 (11 actions, 9/9 acked)";
+         "  DURABILITY ben-or seed=47 (12 actions, 9/9 acked)";
+         "";
+       ])
+    (render Campaign.pp_report_stable (Campaign.run cfg))
+
+let shard_campaign_golden_report () =
+  let cfg =
+    {
+      (small_shard_cfg ~plans:2 ()) with
+      Shard_campaign.tx_pct = 40;
+      broken_2pc = true;
+    }
+  in
+  check Alcotest.string "stable report"
+    (String.concat "\n"
+       [
+         "shard campaign: 2 runs, 34 faults injected";
+         "  coverage: crash=5, restart=5, partition=7, heal=5, drop=5, dup=6, \
+          delay=1, torn=0, sync-loss=0, io-err=0, stall=0";
+         "  safety: 0, atomicity: 1, incomplete: 0, durability: 0";
+         "  ATOMICITY ben-or seed=5 (16/16 done, 7/2 tx ok/ab)";
+         "";
+       ])
+    (render Shard_campaign.pp_report_stable (Shard_campaign.run cfg))
 
 let suite =
   [
@@ -523,4 +589,8 @@ let suite =
       shard_campaign_storage_durability;
     Alcotest.test_case "shard campaign independent of jobs" `Quick
       shard_campaign_jobs_independent;
+    Alcotest.test_case "campaign golden stable report" `Quick
+      campaign_golden_report;
+    Alcotest.test_case "shard campaign golden stable report" `Quick
+      shard_campaign_golden_report;
   ]

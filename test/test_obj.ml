@@ -286,9 +286,9 @@ let campaign_config =
 
 let campaign_all_gates_pass () =
   let r = Nemesis.Obj_campaign.run ~jobs:1 campaign_config in
-  check Alcotest.int "runs" 4 r.Nemesis.Obj_campaign.runs;
+  check Alcotest.int "runs" 4 r.Nemesis.Sweep.runs;
   check Alcotest.int "no failures" 0
-    (List.length r.Nemesis.Obj_campaign.failures)
+    (List.length (Nemesis.Obj_campaign.failures r))
 
 let campaign_deterministic_across_jobs () =
   let render r =
@@ -308,9 +308,44 @@ let campaign_storage_faults_pass () =
     }
   in
   let r = Nemesis.Obj_campaign.run ~jobs:1 cfg in
-  check Alcotest.int "durable runs" 2 r.Nemesis.Obj_campaign.runs;
+  check Alcotest.int "durable runs" 2 r.Nemesis.Sweep.runs;
   check Alcotest.int "no failures under storage faults" 0
-    (List.length r.Nemesis.Obj_campaign.failures)
+    (List.length (Nemesis.Obj_campaign.failures r))
+
+(* The campaign carries the broken-construction mutant into every cell:
+   only the Wing–Gong gate can convict it, and it must, on every run. *)
+let campaign_convicts_broken_construction () =
+  let cfg =
+    {
+      campaign_config with
+      Nemesis.Obj_campaign.objects = [ "queue" ];
+      drop_nth = Some 1;
+    }
+  in
+  let r = Nemesis.Obj_campaign.run ~jobs:1 cfg in
+  check Alcotest.int "every run fails" r.Nemesis.Sweep.runs
+    (List.length (Nemesis.Obj_campaign.failures r));
+  check Alcotest.int "every failure is a linearizability failure"
+    r.Nemesis.Sweep.runs
+    (List.length (Nemesis.Obj_campaign.wg_failures r))
+
+(* The default campaign's stable report (every registry object), pinned
+   byte for byte. *)
+let campaign_golden_report () =
+  check Alcotest.string "stable report"
+    (String.concat "\n"
+       [
+         "object campaign: 30 runs, 0 failures (0 linearizability)";
+         "  counter  5 runs, 0 failures";
+         "  index    5 runs, 0 failures";
+         "  kv       5 runs, 0 failures";
+         "  queue    5 runs, 0 failures";
+         "  set      5 runs, 0 failures";
+         "  stack    5 runs, 0 failures";
+         "";
+       ])
+    (Format.asprintf "%a" Nemesis.Obj_campaign.pp_report_stable
+       (Nemesis.Obj_campaign.run (Nemesis.Obj_campaign.default_config ~n:5 ())))
 
 (* --- the shared-memory universal construction -------------------------- *)
 
@@ -442,6 +477,10 @@ let suite =
           campaign_deterministic_across_jobs;
         Alcotest.test_case "campaign with storage faults" `Quick
           campaign_storage_faults_pass;
+        Alcotest.test_case "campaign golden stable report" `Quick
+          campaign_golden_report;
+        Alcotest.test_case "campaign convicts the broken construction" `Quick
+          campaign_convicts_broken_construction;
         Alcotest.test_case "smem sequential schedule" `Quick
           smem_sequential_schedule;
         Alcotest.test_case "smem honest sampled" `Quick smem_honest_sampled;
